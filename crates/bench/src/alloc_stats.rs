@@ -1,10 +1,10 @@
 //! Opt-in counting global allocator (`--features alloc-stats`).
 //!
-//! When the feature is on, every bench binary runs under a thin wrapper
+//! When the feature is on, every `macaw-bench` subcommand runs under a thin wrapper
 //! around the system allocator that counts allocations, allocated bytes,
 //! live bytes and the live-bytes high-water mark with relaxed atomics —
 //! cheap enough to leave on for a measurement run, and exact (it wraps
-//! the real allocator rather than sampling). The `perf` binary reports
+//! the real allocator rather than sampling). `macaw-bench perf` reports
 //! allocations/run and peak bytes in its probe output, giving hot-path
 //! work an allocation baseline to be judged against.
 //!

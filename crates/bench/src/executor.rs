@@ -185,7 +185,7 @@ pub fn jobs_from_env() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Parse a `--jobs` argument value shared by every bench binary.
+/// Parse a `--jobs` argument value (see [`crate::cli`]).
 pub fn parse_jobs_arg(value: &str) -> Result<usize, String> {
     match value.trim().parse::<usize>() {
         Ok(n) if n >= 1 => Ok(n),

@@ -2,7 +2,7 @@
 //!
 //! Each `table*` function runs the corresponding experiment and returns a
 //! [`TableResult`] holding the paper's published numbers next to the
-//! measured ones, so the `tables` binary, the Criterion benches and
+//! measured ones, so `macaw-bench tables`, the other subcommands and
 //! `EXPERIMENTS.md` all share one source of truth.
 //!
 //! Protocol configurations follow the paper's narrative order: each table
@@ -26,6 +26,7 @@ use crate::executor::Executor;
 
 pub mod alloc_stats;
 pub mod cache;
+pub mod cli;
 pub mod executor;
 pub mod faults;
 pub mod replicate;

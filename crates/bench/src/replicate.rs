@@ -242,12 +242,13 @@ pub fn sweep(
     Ok(Replication { tables, executed, total_jobs })
 }
 
-/// Serialize a completed sweep as the `BENCH_replicate.json` payload.
+/// A completed sweep's `BENCH_replicate.json` fields, for
+/// [`crate::cli::write_json`] to put under the shared header.
 pub fn to_json(rep: &Replication, cfg: &SweepConfig, jobs: usize, wall_secs: f64) -> String {
-    let mut tables = String::new();
+    let mut tables = Vec::new();
     for t in &rep.tables {
         let cols: Vec<String> = t.columns.iter().map(|c| format!("\"{c}\"")).collect();
-        let mut rows = String::new();
+        let mut rows = Vec::new();
         for (name, paper, stats) in &t.rows {
             let num = |v: f64, prec: usize| {
                 if v.is_nan() { "null".to_string() } else { format!("{v:.prec$}") }
@@ -256,39 +257,33 @@ pub fn to_json(rep: &Replication, cfg: &SweepConfig, jobs: usize, wall_secs: f64
             let mean: Vec<String> = stats.iter().map(|w| num(w.mean(), 4)).collect();
             let ci: Vec<String> = stats.iter().map(|w| num(w.ci95_half_width(), 4)).collect();
             let sd: Vec<String> = stats.iter().map(|w| num(w.std_dev(), 4)).collect();
-            rows.push_str(&format!(
+            rows.push(format!(
                 "        {{ \"stream\": \"{name}\", \"paper_pps\": [{}], \"mean_pps\": [{}], \
-                 \"ci95_pps\": [{}], \"std_dev_pps\": [{}] }},\n",
+                 \"ci95_pps\": [{}], \"std_dev_pps\": [{}] }}",
                 paper.join(", "),
                 mean.join(", "),
                 ci.join(", "),
                 sd.join(", ")
             ));
         }
-        rows.pop();
-        rows.pop(); // trailing ",\n"
-        rows.push('\n');
-        tables.push_str(&format!(
+        let rows = rows.join(",\n");
+        tables.push(format!(
             "    {{\n      \"table\": \"{}\",\n      \"title\": \"{}\",\n      \
-             \"columns\": [{}],\n      \"rows\": [\n{rows}      ]\n    }},\n",
+             \"columns\": [{}],\n      \"rows\": [\n{rows}\n      ]\n    }}",
             t.id,
             t.title,
             cols.join(", ")
         ));
     }
-    tables.pop();
-    tables.pop();
-    tables.push('\n');
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let tables = tables.join(",\n");
     format!(
-        "{{\n  \"workload\": \"every paper table replicated over R independent seeds; \
+        "\"workload\": \"every paper table replicated over R independent seeds; \
          per-stream throughput as mean ± 95% CI (Student-t)\",\n  \
          \"root_seed\": {},\n  \"replications\": {},\n  \"base_duration_secs\": {},\n  \
-         \"host_cores\": {host_cores},\n  \
          \"jobs\": {jobs},\n  \"simulations\": {},\n  \"executed\": {},\n  \
          \"wall_secs\": {wall_secs:.3},\n  \
          \"seed_derivation\": \"SimRng::new(root_seed).stream_seed(r)\",\n  \
-         \"tables\": [\n{tables}  ]\n}}\n",
+         \"tables\": [\n{tables}\n  ]",
         cfg.root_seed,
         cfg.replications,
         cfg.dur.as_secs_f64() as u64,

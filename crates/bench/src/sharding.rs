@@ -1,7 +1,8 @@
-//! Opt-in intra-run sharding for the bench binaries.
+//! Opt-in intra-run sharding for the `macaw-bench` subcommands.
 //!
-//! Every bench binary honors a shard count the same way it honors a
-//! worker count: `--shards N` flag > `MACAW_SHARDS` env > 1 (serial).
+//! The subcommands that take `--shards` honor a shard count the same
+//! way they honor a worker count: `--shards N` flag > `MACAW_SHARDS`
+//! env > 1 (serial).
 //! Where `MACAW_JOBS` parallelizes *across* independent simulations,
 //! `MACAW_SHARDS` parallelizes *within* one simulation, routing it
 //! through [`Scenario::run_with_shards`] — the conservative
@@ -13,7 +14,7 @@
 //!
 //! The count is a process-wide setting rather than a threaded argument
 //! because the run sites sit at the bottom of deep generic call stacks
-//! (table specs, fault ladders, the run cache) shared by binaries that
+//! (table specs, fault ladders, the run cache) shared by subcommands that
 //! do and don't expose the flag.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,7 +55,7 @@ pub fn effective_shards() -> usize {
     }
 }
 
-/// Parse a `--shards` argument value shared by every bench binary.
+/// Parse a `--shards` argument value (see [`crate::cli`]).
 pub fn parse_shards_arg(value: &str) -> Result<usize, String> {
     match value.trim().parse::<usize>() {
         Ok(n) if n >= 1 => Ok(n),

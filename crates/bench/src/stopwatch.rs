@@ -3,7 +3,7 @@
 //! The workspace builds with zero network access, so the bench targets
 //! cannot use Criterion; this module provides the small subset we need:
 //! run a closure N times, report min / mean / max wall time, and return the
-//! numbers so callers (the `perf` binary, `BENCH_medium.json`) can persist
+//! numbers so callers (`macaw-bench perf`, `BENCH_medium.json`) can persist
 //! them. No statistics beyond that — simulation benches here are long
 //! deterministic runs, not nanosecond microbenches.
 

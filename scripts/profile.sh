@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# One-command CPU profile of any bench binary invocation:
+# One-command CPU profile of any `macaw-bench` subcommand:
 #
 #   scripts/profile.sh mobility                 # profile the full sweep
 #   scripts/profile.sh -n 40 scale -- --smoke   # top 40, smoke workload
 #   scripts/profile.sh tables -- --quick --table 5
 #
-# Builds the binary in release (with frame pointers kept so the collector
+# Builds the driver in release (with frame pointers kept so the collector
 # can unwind), records one run under gprofng (falling back to perf when
 # gprofng is absent), and prints the top-N functions by *inclusive* CPU
 # time — the view that answers "which subsystem is the run spending its
@@ -22,29 +22,29 @@ while [ $# -gt 0 ]; do
     *) break ;;
   esac
 done
-bin="${1:?usage: profile.sh [-n TOP] <bench-bin> [-- args...]}"
+sub="${1:?usage: profile.sh [-n TOP] <macaw-bench subcommand> [-- args...]}"
 shift
 [ "${1:-}" = "--" ] && shift
 
-echo "== build $bin (release, frame pointers) =="
+echo "== build macaw-bench (release, frame pointers) =="
 RUSTFLAGS="${RUSTFLAGS:-} -C force-frame-pointers=yes" \
-  cargo build --release -p macaw-bench --bin "$bin"
-exe="target/release/$bin"
+  cargo build --release -p macaw-bench
+exe="target/release/macaw-bench"
 
 mkdir -p target/profile
 stamp="$(date +%Y%m%d-%H%M%S)"
 if command -v gprofng >/dev/null 2>&1; then
-  expdir="target/profile/$bin-$stamp.er"
-  echo "== gprofng collect: $exe $* =="
-  gprofng collect app -o "$expdir" "$exe" "$@"
+  expdir="target/profile/$sub-$stamp.er"
+  echo "== gprofng collect: $exe $sub $* =="
+  gprofng collect app -o "$expdir" "$exe" "$sub" "$@"
   echo
   echo "== top $top functions by inclusive CPU time ($expdir) =="
   gprofng display text -metrics i.totalcpu:e.totalcpu \
     -sort i.totalcpu -limit "$top" -functions "$expdir"
 elif command -v perf >/dev/null 2>&1; then
-  data="target/profile/$bin-$stamp.perf.data"
-  echo "== perf record: $exe $* =="
-  perf record -g --call-graph fp -o "$data" -- "$exe" "$@"
+  data="target/profile/$sub-$stamp.perf.data"
+  echo "== perf record: $exe $sub $* =="
+  perf record -g --call-graph fp -o "$data" -- "$exe" "$sub" "$@"
   echo
   echo "== top $top functions by inclusive (children) CPU time ($data) =="
   perf report -i "$data" --stdio --children --sort symbol 2>/dev/null |

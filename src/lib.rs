@@ -31,7 +31,7 @@
 //! ```
 //!
 //! See `examples/` for runnable demonstrations and
-//! `cargo run --release -p macaw-bench --bin tables` for the full
+//! `cargo run --release -p macaw-bench -- tables` for the full
 //! paper-table reproduction.
 
 pub use macaw_core as core;

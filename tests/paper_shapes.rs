@@ -1,6 +1,6 @@
 //! Integration tests asserting the qualitative *shape* of every table in
 //! the paper, at durations short enough for CI (the full-length numbers
-//! live in `cargo run -p macaw-bench --bin tables` and EXPERIMENTS.md).
+//! live in `cargo run -p macaw-bench -- tables` and EXPERIMENTS.md).
 
 use macaw::mac::BackoffSharing;
 use macaw::prelude::*;
