@@ -61,11 +61,12 @@
 //! for every worker count.
 
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 use macaw_mac::context::MacFeedback;
 use macaw_mac::harness::Action;
 use macaw_mac::{MacInvariantViolation, MacProtocol, MacSnapshot};
-use macaw_sim::{FastHashMap, FastHashSet, SimDuration, SimTime, TieBand};
+use macaw_sim::{FastHashMap, FastHasher, SimDuration, SimTime, TieBand};
 
 use crate::topology::Topology;
 use crate::world::{CanonState, FaultClass, World, WorldEvent};
@@ -261,7 +262,7 @@ impl CheckReport {
 /// and merged by [`check_fan`], transported by the caller's fan function.
 pub struct SubtreeOut {
     stats: CheckStats,
-    violation: Option<Violation>,
+    violation: Option<Found>,
     pass_bound_hits: u64,
     exhausted: bool,
 }
@@ -276,7 +277,7 @@ pub fn check<P>(
     make: impl Fn(usize) -> P,
 ) -> CheckReport
 where
-    P: MacProtocol + MacSnapshot + Clone + Sync,
+    P: MacProtocol + MacSnapshot + Clone + Send + Sync,
 {
     check_fan(protocol, topo, cfg, make, |n, f| (0..n).map(f).collect())
 }
@@ -295,7 +296,7 @@ pub fn check_fan<P, F>(
     fan: F,
 ) -> CheckReport
 where
-    P: MacProtocol + MacSnapshot + Clone + Sync,
+    P: MacProtocol + MacSnapshot + Clone + Send + Sync,
     F: Fn(usize, &(dyn Fn(usize) -> SubtreeOut + Sync)) -> Vec<SubtreeOut>,
 {
     let band = TieBand::new(cfg.tie_epsilon);
@@ -308,23 +309,10 @@ where
     loop {
         depth = depth.min(cfg.max_depth);
         stats.iterations += 1;
-        let split_at = (cfg.split_depth > 0 && depth > cfg.split_depth)
-            .then_some(cfg.split_depth);
+        let split_at = (cfg.split_depth > 0 && depth > cfg.split_depth).then_some(cfg.split_depth);
 
         let mut root = World::new(topo.clone(), cfg.fault, band, cfg.seed, &make);
-        let mut dfs = Dfs {
-            memo: FastHashMap::default(),
-            path: FastHashSet::default(),
-            trace: Vec::new(),
-            stats: &mut stats,
-            expectation: cfg.expectation,
-            reduce: cfg.reduce,
-            bound_hits_this_pass: 0,
-            split_at,
-            jobs: Vec::new(),
-            state_budget: cfg.state_budget,
-            exhausted: false,
-        };
+        let mut dfs = Dfs::new(&mut stats, cfg, split_at);
         let outcome = match root.inject() {
             Err(v) => Err(dfs.violation(ViolationKind::Invariant(v))),
             Ok(()) => dfs.visit(&root, depth, Vec::new()),
@@ -333,8 +321,8 @@ where
         exhausted |= dfs.exhausted;
         let jobs = std::mem::take(&mut dfs.jobs);
         drop(dfs);
-        if let Err(v) = outcome {
-            violation = Some(v);
+        if let Err(found) = outcome {
+            violation = Some(found.replay(&root, &[]));
             break;
         }
 
@@ -342,11 +330,7 @@ where
             let job_cfg = *cfg;
             let runner = |i: usize| run_job(&jobs[i], &job_cfg);
             let outs = fan(jobs.len(), &runner);
-            assert_eq!(
-                outs.len(),
-                jobs.len(),
-                "fan must return one output per job"
-            );
+            assert_eq!(outs.len(), jobs.len(), "fan must return one output per job");
             // Merge in job-index order, absorbing every job's stats even
             // past a violation (the fan ran them all), so the counts do
             // not depend on worker scheduling.
@@ -355,16 +339,12 @@ where
                 pass_bound_hits += out.pass_bound_hits;
                 exhausted |= out.exhausted;
             }
-            if let Some((job, out)) = jobs
+            if let Some((job, found)) = jobs
                 .iter()
                 .zip(&outs)
-                .find(|(_, out)| out.violation.is_some())
+                .find_map(|(job, out)| Some((job, out.violation.as_ref()?)))
             {
-                let v = out.violation.clone().expect("found violating job");
-                violation = Some(Violation {
-                    kind: v.kind,
-                    trace: job.prefix.iter().cloned().chain(v.trace).collect(),
-                });
+                violation = Some(found.replay(&root, &job.prefix));
                 break;
             }
         }
@@ -395,13 +375,13 @@ where
 }
 
 /// One split-frontier subtree: the world at the split node, the sleep set
-/// it was reached with, the remaining depth, and the trace prefix that
-/// led there (rebases job-local counterexamples and depths).
+/// it was reached with, the remaining depth, and the event prefix that led
+/// there (rebases job-local counterexamples and depths).
 struct Job<P: MacProtocol + MacSnapshot> {
     world: World<P>,
     sleep: Vec<WorldEvent>,
     depth_left: u32,
-    prefix: Vec<TraceStep>,
+    prefix: Vec<WorldEvent>,
 }
 
 fn run_job<P>(job: &Job<P>, cfg: &CheckConfig) -> SubtreeOut
@@ -409,19 +389,7 @@ where
     P: MacProtocol + MacSnapshot + Clone,
 {
     let mut stats = CheckStats::default();
-    let mut dfs = Dfs {
-        memo: FastHashMap::default(),
-        path: FastHashSet::default(),
-        trace: Vec::new(),
-        stats: &mut stats,
-        expectation: cfg.expectation,
-        reduce: cfg.reduce,
-        bound_hits_this_pass: 0,
-        split_at: None,
-        jobs: Vec::new(),
-        state_budget: cfg.state_budget,
-        exhausted: false,
-    };
+    let mut dfs = Dfs::new(&mut stats, cfg, None);
     let outcome = dfs.visit(&job.world, job.depth_left, job.sleep.clone());
     let pass_bound_hits = dfs.bound_hits_this_pass;
     let exhausted = dfs.exhausted;
@@ -444,10 +412,81 @@ struct MemoEntry {
     sleep: Vec<WorldEvent>,
 }
 
+/// A canonical state in memo form: station snapshots replaced by their
+/// ids in [`Dfs::snapshot_ids`] (equal ids iff equal snapshots, so keys
+/// are equal iff the states are), and the hash computed once, for memo
+/// lookup, memo insert and the on-path check alike. Memo entries then
+/// share each distinct snapshot instead of owning a copy.
+struct Key {
+    hash: u64,
+    state: CanonState<u32>,
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.state == other.state
+    }
+}
+
+impl Eq for Key {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        h.write_u64(self.hash);
+    }
+}
+
+/// A violation as the search finds it: what broke, and the events that
+/// led there from the search's root. Traces are rebuilt from the events
+/// only once a violation is reported ([`Found::replay`]).
+struct Found {
+    kind: ViolationKind,
+    events: Vec<WorldEvent>,
+}
+
+impl Found {
+    /// Rebuild the full counterexample by replaying `prefix` and then this
+    /// violation's events from the pass's `root` world. Transitions are
+    /// deterministic, so the replay reaches exactly the states the search
+    /// saw; a MAC invariant violation ends the replay at its event.
+    fn replay<P>(&self, root: &World<P>, prefix: &[WorldEvent]) -> Violation
+    where
+        P: MacProtocol + MacSnapshot + Clone,
+    {
+        let mut w = root.clone();
+        let mut trace = Vec::with_capacity(prefix.len() + self.events.len());
+        for ev in prefix.iter().chain(&self.events) {
+            let applied = w.apply(ev);
+            let failed = applied.is_err();
+            trace.push(TraceStep {
+                at: w.clock(),
+                event: ev.clone(),
+                actions: applied.unwrap_or_default(),
+                states: w.state_kinds(),
+            });
+            if failed {
+                break;
+            }
+        }
+        debug_assert_eq!(trace.len(), prefix.len() + self.events.len());
+        Violation {
+            kind: self.kind.clone(),
+            trace,
+        }
+    }
+}
+
 struct Dfs<'a, P: MacProtocol + MacSnapshot> {
-    memo: FastHashMap<CanonState<P::Snap>, MemoEntry>,
-    path: FastHashSet<CanonState<P::Snap>>,
-    trace: Vec<TraceStep>,
+    memo: FastHashMap<Key, MemoEntry>,
+    /// Every distinct station snapshot seen, numbered in order of first
+    /// appearance: memo and path keys hold these numbers instead of
+    /// snapshots.
+    snapshot_ids: FastHashMap<P::Snap, u32>,
+    /// The canonical states on the current path, root first: at most one
+    /// per level, so a hash-first linear scan beats a set.
+    path: Vec<Key>,
+    /// The events on the current path, root first.
+    events: Vec<WorldEvent>,
     stats: &'a mut CheckStats,
     expectation: Expectation,
     reduce: bool,
@@ -492,10 +531,27 @@ fn intersect(a: &[WorldEvent], b: &[WorldEvent]) -> Vec<WorldEvent> {
     out
 }
 
-impl<P> Dfs<'_, P>
+impl<'a, P> Dfs<'a, P>
 where
     P: MacProtocol + MacSnapshot + Clone,
 {
+    fn new(stats: &'a mut CheckStats, cfg: &CheckConfig, split_at: Option<u32>) -> Self {
+        Dfs {
+            memo: FastHashMap::default(),
+            snapshot_ids: FastHashMap::default(),
+            path: Vec::new(),
+            events: Vec::new(),
+            stats,
+            expectation: cfg.expectation,
+            reduce: cfg.reduce,
+            bound_hits_this_pass: 0,
+            split_at,
+            jobs: Vec::new(),
+            state_budget: cfg.state_budget,
+            exhausted: false,
+        }
+    }
+
     /// Explore `w` with `depth_left` remaining depth. `sleep` is the
     /// sleep set in the world's own station labels: events already covered
     /// below an independent sibling of the path that led here.
@@ -504,7 +560,7 @@ where
         w: &World<P>,
         depth_left: u32,
         sleep: Vec<WorldEvent>,
-    ) -> Result<(), Violation> {
+    ) -> Result<(), Found> {
         if self.exhausted {
             self.bound_hits_this_pass += 1;
             self.stats.bound_hits += 1;
@@ -549,7 +605,8 @@ where
         } else {
             (w.canon(), 0)
         };
-        if self.path.contains(&canon) {
+        let key = self.key(canon);
+        if self.path.contains(&key) {
             return Err(self.violation(ViolationKind::Livelock));
         }
 
@@ -565,7 +622,7 @@ where
         let mut effective_sleep = sleep;
         // In canonical labels, what the memo will claim was skipped.
         let mut store_sleep = sleep_key;
-        match self.memo.get(&canon) {
+        match self.memo.get(&key) {
             Some(entry) if entry.depth >= depth_left => {
                 if subset(&entry.sleep, &store_sleep) {
                     // The stored visit skipped at most what we would skip:
@@ -579,8 +636,8 @@ where
                 // mixed-depth coverage).
                 let inter = intersect(&entry.sleep, &store_sleep);
                 effective_sleep = if self.reduce {
-                    let inv = w.topology().sym[pi].inverse();
-                    inter.iter().map(|e| e.relabel(&inv)).collect()
+                    let inv = w.sym_inverse(pi);
+                    inter.iter().map(|e| e.relabel(inv)).collect()
                 } else {
                     inter.clone()
                 };
@@ -594,9 +651,9 @@ where
         // the job re-explores with its own fresh memo and path, so a
         // cycle crossing the boundary is still caught (one lap later).
         if let Some(split) = self.split_at {
-            if self.trace.len() as u32 == split {
+            if self.events.len() as u32 == split {
                 self.memo.insert(
-                    canon,
+                    key,
                     MemoEntry {
                         depth: depth_left,
                         sleep: store_sleep,
@@ -606,13 +663,13 @@ where
                     world: w.clone(),
                     sleep: effective_sleep,
                     depth_left,
-                    prefix: self.trace.clone(),
+                    prefix: self.events.clone(),
                 });
                 return Ok(());
             }
         }
 
-        self.path.insert(canon.clone());
+        self.path.push(key);
 
         let mut result = Ok(());
         let mut done: Vec<WorldEvent> = Vec::new();
@@ -632,49 +689,36 @@ where
                 Vec::new()
             };
             let mut child = w.clone();
-            match child.apply(&ev) {
-                Err(v) => {
-                    self.trace.push(TraceStep {
-                        at: child.clock(),
-                        event: ev,
-                        actions: Vec::new(),
-                        states: child.state_kinds(),
-                    });
-                    result = Err(self.violation(ViolationKind::Invariant(v)));
-                    break;
+            let stepped = child.step(&ev);
+            self.events.push(ev);
+            if let Err(v) = stepped {
+                result = Err(self.violation(ViolationKind::Invariant(v)));
+                self.events.pop();
+                break;
+            }
+            self.stats.states_explored += 1;
+            if let Some(budget) = self.state_budget {
+                if self.stats.states_explored >= budget {
+                    self.exhausted = true;
                 }
-                Ok(actions) => {
-                    self.stats.states_explored += 1;
-                    if let Some(budget) = self.state_budget {
-                        if self.stats.states_explored >= budget {
-                            self.exhausted = true;
-                        }
-                    }
-                    self.trace.push(TraceStep {
-                        at: child.clock(),
-                        event: ev.clone(),
-                        actions,
-                        states: child.state_kinds(),
-                    });
-                    self.stats.max_depth_reached =
-                        self.stats.max_depth_reached.max(self.trace.len() as u32);
-                    let r = self.visit(&child, depth_left - 1, child_sleep);
-                    self.trace.pop();
-                    if r.is_err() {
-                        result = r;
-                        break;
-                    }
-                    if self.reduce {
-                        done.push(ev);
-                    }
-                }
+            }
+            self.stats.max_depth_reached =
+                self.stats.max_depth_reached.max(self.events.len() as u32);
+            let r = self.visit(&child, depth_left - 1, child_sleep);
+            let ev = self.events.pop().expect("pushed above");
+            if r.is_err() {
+                result = r;
+                break;
+            }
+            if self.reduce {
+                done.push(ev);
             }
         }
 
-        self.path.remove(&canon);
+        let key = self.path.pop().expect("pushed above");
         if result.is_ok() && !self.exhausted {
             self.memo.insert(
-                canon,
+                key,
                 MemoEntry {
                     depth: depth_left,
                     sleep: store_sleep,
@@ -684,10 +728,22 @@ where
         result
     }
 
-    fn violation(&self, kind: ViolationKind) -> Violation {
-        Violation {
+    fn key(&mut self, canon: CanonState<P::Snap>) -> Key {
+        let ids = &mut self.snapshot_ids;
+        let state = canon.map_snapshots(|snap| {
+            let next = ids.len() as u32;
+            *ids.entry(snap).or_insert(next)
+        });
+        Key {
+            hash: BuildHasherDefault::<FastHasher>::default().hash_one(&state),
+            state,
+        }
+    }
+
+    fn violation(&self, kind: ViolationKind) -> Found {
+        Found {
             kind,
-            trace: self.trace.clone(),
+            events: self.events.clone(),
         }
     }
 }

@@ -4,7 +4,7 @@
 //! answers "can MACAW wedge?". It explores *every* interleaving of radio
 //! nondeterminism — near-simultaneous timer firings, frame reception
 //! orders, and a budgeted fault adversary (loss, noise, carrier-sense
-//! blindness) — over 2–4 station topologies, and proves four properties
+//! blindness) — over 2–12 station topologies, and proves four properties
 //! per protocol and topology family:
 //!
 //! * **no deadlock** — a quiescent world (no timers armed, nothing on the

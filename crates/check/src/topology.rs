@@ -1,6 +1,6 @@
 //! The topology families the paper's arguments are built on.
 //!
-//! Each topology is a directed hearing relation over 2–6 stations plus the
+//! Each topology is a directed hearing relation over 2–12 stations plus the
 //! traffic pattern whose delivery the checker proves. The families are the
 //! paper's own figures: a single shared cell (§1), the hidden-terminal pair
 //! (Figure 1 / §2.2), the exposed-terminal square (Figure 5 / §3.3.2) and
@@ -129,7 +129,11 @@ impl Topology {
             assert_eq!(g.len(), n, "{}: generator arity", self.name);
             let mut seen = vec![false; n];
             for &j in g {
-                assert!(j < n && !seen[j], "{}: generator not a permutation", self.name);
+                assert!(
+                    j < n && !seen[j],
+                    "{}: generator not a permutation",
+                    self.name
+                );
                 seen[j] = true;
             }
             for a in 0..n {
@@ -143,7 +147,7 @@ impl Topology {
             }
         }
         // Close the generators into the full group (BFS over composition;
-        // n <= 6 keeps this tiny).
+        // the declared groups have at most 120 elements).
         let mut group: Vec<Vec<usize>> = vec![(0..n).collect()];
         let mut frontier = group.clone();
         while let Some(p) = frontier.pop() {
@@ -215,7 +219,13 @@ impl Topology {
     /// Figure 1: A and C both send to B but cannot hear each other — the
     /// hidden-terminal configuration carrier sense cannot solve.
     pub fn hidden_terminal() -> Self {
-        Self::from_links("hidden_terminal", 3, &[(0, 1), (2, 1)], &[], &[(0, 1), (2, 1)])
+        Self::from_links(
+            "hidden_terminal",
+            3,
+            &[(0, 1), (2, 1)],
+            &[],
+            &[(0, 1), (2, 1)],
+        )
     }
 
     /// Figure 5: two sender/receiver pairs; the senders hear each other,

@@ -31,11 +31,14 @@
 //! transmission overlaps it and the receiver itself never keys up while it
 //! is on the air; carrier sense reports any audible foreign transmission.
 
+use std::cmp::Ordering;
+use std::sync::Arc;
+
 use macaw_mac::context::MacFeedback;
 use macaw_mac::harness::Action;
 use macaw_mac::{
     Addr, Frame, MacInvariantViolation, MacProtocol, MacSdu, MacSnapshot, Oracle, Relabeling,
-    Stimulus, StreamId, Timing,
+    StepObs, Stimulus, StreamId, Timing,
 };
 use macaw_sim::{SimDuration, SimTime, TieBand};
 
@@ -127,6 +130,10 @@ impl WorldEvent {
     }
 }
 
+/// The actions one transition produced, each with the station that took
+/// it.
+type ActionLog = Vec<(usize, Action)>;
+
 /// A transmission on the air.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct Flight {
@@ -135,8 +142,46 @@ struct Flight {
     ends: SimTime,
     /// Per-station garbage marker: overlap or half-duplex ruined the
     /// reception at that station.
-    dirty: Vec<bool>,
+    dirty: StationSet,
 }
+
+/// A set of station indices as a bitmask, station `r` at bit `63 - r`: the
+/// integer order is then the lexicographic order of the membership vector
+/// `[station 0, station 1, …]`, the order canonical states are compared in.
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+struct StationSet(u64);
+
+impl StationSet {
+    fn bit(r: usize) -> u64 {
+        1 << (63 - r)
+    }
+
+    fn contains(self, r: usize) -> bool {
+        self.0 & Self::bit(r) != 0
+    }
+
+    fn insert(&mut self, r: usize) {
+        self.0 |= Self::bit(r);
+    }
+
+    /// The set with every member `r` renamed to `station[r]`.
+    fn permute(self, station: &[usize]) -> StationSet {
+        let mut out = StationSet::default();
+        for (r, &to) in station.iter().enumerate() {
+            if self.contains(r) {
+                out.insert(to);
+            }
+        }
+        out
+    }
+}
+
+/// A station in canonical form: snapshot, now-relative timer offset, RNG
+/// stream digest.
+type StationTuple<S> = (S, Option<SimDuration>, u64);
+/// A flight in canonical form: transmitter, frame, now-relative remaining
+/// air time, per-station dirty markers.
+type CanonFlight = (usize, Frame, SimDuration, StationSet);
 
 /// Canonical world state: station snapshots with now-relative timer
 /// offsets and RNG stream digests, in-flight transmissions with
@@ -148,29 +193,58 @@ struct Flight {
 /// on-path revisit *is* a cycle without progress.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CanonState<S> {
-    stations: Vec<(S, Option<SimDuration>, u64)>,
-    flights: Vec<(usize, Frame, SimDuration, Vec<bool>)>,
+    stations: Vec<StationTuple<S>>,
+    flights: Vec<CanonFlight>,
     budget: u8,
     delivered: u32,
     resolved: u32,
+}
+
+impl<S> CanonState<S> {
+    /// The same state with every station snapshot replaced by `f(snapshot)`.
+    pub(crate) fn map_snapshots<T>(self, mut f: impl FnMut(S) -> T) -> CanonState<T> {
+        CanonState {
+            stations: self
+                .stations
+                .into_iter()
+                .map(|(s, t, d)| (f(s), t, d))
+                .collect(),
+            flights: self.flights,
+            budget: self.budget,
+            delivered: self.delivered,
+            resolved: self.resolved,
+        }
+    }
+}
+
+/// What every world of one check shares and never changes: the topology
+/// and the tables derived from it. Behind an `Arc`, so forking a world at
+/// a choice copies only stations and flights, and split jobs can carry
+/// their worlds to other threads.
+struct Shared {
+    topo: Topology,
+    /// Per-station hearing-closure bitmask: station `s`, everyone who
+    /// hears `s` and everyone `s` hears. Any interaction between two
+    /// events passes through a station in both closures, so events with
+    /// disjoint closure footprints commute (see [`World::independent`]).
+    closure: Vec<u64>,
+    /// `sym_inv[pi]` is the inverse of `topo.sym[pi]`.
+    sym_inv: Vec<SymPerm>,
 }
 
 /// The checker's transition system: stations + air + adversary.
 #[derive(Clone)]
 pub struct World<P: MacProtocol + MacSnapshot> {
     clock: SimTime,
-    stations: Vec<Oracle<P>>,
-    topo: Topology,
+    /// Copy-on-write: a forked world shares every station it has not
+    /// stepped since the fork.
+    stations: Vec<Arc<Oracle<P>>>,
+    shared: Arc<Shared>,
     timing: Timing,
     band: TieBand,
     fault: FaultClass,
     budget: u8,
     flights: Vec<Flight>,
-    /// Per-station hearing-closure bitmask: station `s`, everyone who
-    /// hears `s` and everyone `s` hears. Any interaction between two
-    /// events passes through a station in both closures, so events with
-    /// disjoint closure footprints commute (see [`World::independent`]).
-    closure: Vec<u64>,
     /// Packets handed to senders at injection.
     pub offered: u32,
     /// `deliver_up` calls observed at receivers.
@@ -188,16 +262,25 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
     /// are what make the declared permutations true automorphisms. With no
     /// declared symmetry the classes are the station indices and the
     /// seeding is the historical per-station scheme, bit for bit.
-    pub fn new(topo: Topology, fault: FaultClass, band: TieBand, seed: u64, make: impl Fn(usize) -> P) -> Self {
+    pub fn new(
+        topo: Topology,
+        fault: FaultClass,
+        band: TieBand,
+        seed: u64,
+        make: impl Fn(usize) -> P,
+    ) -> Self {
         let stations = (0..topo.n)
             .map(|i| {
-                Oracle::new(
+                Arc::new(Oracle::new(
                     make(i),
                     seed ^ (topo.seed_class[i] as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                )
+                ))
             })
             .collect();
-        debug_assert!(topo.n <= 64, "closure footprints are u64 bitmasks");
+        assert!(
+            topo.n <= 64,
+            "closure footprints and dirty sets are u64 bitmasks"
+        );
         let closure: Vec<u64> = (0..topo.n)
             .map(|s| {
                 let mut m = 1u64 << s;
@@ -209,16 +292,20 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
                 m
             })
             .collect();
+        let sym_inv = topo.sym.iter().map(SymPerm::inverse).collect();
         World {
             clock: SimTime::ZERO,
             stations,
-            topo,
+            shared: Arc::new(Shared {
+                topo,
+                closure,
+                sym_inv,
+            }),
             timing: Timing::default(),
             band,
             fault,
             budget: fault.budget(),
             flights: Vec::new(),
-            closure,
             offered: 0,
             delivered: 0,
             resolved: 0,
@@ -228,21 +315,23 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
     /// Queue one 512-byte packet per topology flow (at t = 0, in flow
     /// order — the initial condition, not an explored choice).
     pub fn inject(&mut self) -> Result<(), MacInvariantViolation> {
-        for fi in 0..self.topo.flows.len() {
-            let (src, dst) = self.topo.flows[fi];
+        for fi in 0..self.shared.topo.flows.len() {
+            let (src, dst) = self.shared.topo.flows[fi];
             let sdu = MacSdu {
                 stream: StreamId(fi as u32),
                 transport_seq: 1,
                 bytes: 512,
             };
             self.offered += 1;
-            let busy = self.carrier_busy(src);
-            self.stations[src].set_carrier(busy);
-            let obs = self.stations[src].step(Stimulus::Enqueue {
-                dst: Addr::Unicast(dst),
-                sdu,
-            })?;
-            self.absorb(obs.actions);
+            let obs = self.step_station(
+                src,
+                Stimulus::Enqueue {
+                    dst: Addr::Unicast(dst),
+                    sdu,
+                },
+                false,
+            )?;
+            self.absorb(src, obs.actions, None);
         }
         Ok(())
     }
@@ -254,7 +343,12 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
 
     /// The topology under check.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.shared.topo
+    }
+
+    /// The inverse of symmetry `pi` of [`World::topology`], precomputed.
+    pub(crate) fn sym_inverse(&self, pi: usize) -> &SymPerm {
+        &self.shared.sym_inv[pi]
     }
 
     /// Short state names per station, for traces.
@@ -267,19 +361,31 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
     fn carrier_busy(&self, station: usize) -> bool {
         self.flights
             .iter()
-            .any(|f| f.src != station && self.topo.hears[f.src][station])
+            .any(|f| f.src != station && self.shared.topo.hears[f.src][station])
     }
 
-    fn refresh_carriers(&mut self) {
-        for i in 0..self.topo.n {
-            let busy = self.carrier_busy(i);
-            self.stations[i].set_carrier(busy);
-        }
+    /// Deliver `stim` to station `i`, copying the station first if another
+    /// world still shares it. Stations are brought to the world clock and
+    /// shown the carrier only here, as they step: nothing reads either
+    /// between steps, so a transition copies just the stations it drives.
+    /// `blind` makes the carrier-sense query report idle.
+    fn step_station(
+        &mut self,
+        i: usize,
+        stim: Stimulus,
+        blind: bool,
+    ) -> Result<StepObs, MacInvariantViolation> {
+        let busy = !blind && self.carrier_busy(i);
+        let station = Arc::make_mut(&mut self.stations[i]);
+        station.advance_to(self.clock);
+        station.set_carrier(busy);
+        station.step(stim)
     }
 
     /// Fold one step's observations into the world: transmissions key up
     /// flights, deliveries and feedback advance the progress counters.
-    fn absorb(&mut self, actions: Vec<Action>) -> Vec<Action> {
+    /// With a `log`, the actions are recorded there as `station`'s.
+    fn absorb(&mut self, station: usize, actions: Vec<Action>, log: Option<&mut ActionLog>) {
         for a in &actions {
             match a {
                 Action::Transmit(f) => self.start_flight(*f),
@@ -291,7 +397,9 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
                 ) => self.resolved += 1,
             }
         }
-        actions
+        if let Some(log) = log {
+            log.extend(actions.into_iter().map(|a| (station, a)));
+        }
     }
 
     fn start_flight(&mut self, frame: Frame) {
@@ -302,21 +410,22 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
             self.flights.iter().all(|f| f.src != src),
             "station {src} keyed up while already transmitting"
         );
-        let mut dirty = vec![false; self.topo.n];
-        dirty[src] = true; // own transmission is never a reception
+        let hears = &self.shared.topo.hears;
+        let mut dirty = StationSet::default();
+        dirty.insert(src); // own transmission is never a reception
         for g in &mut self.flights {
-            for (r, d) in dirty.iter_mut().enumerate() {
+            for (r, (&new, &old)) in hears[src].iter().zip(&hears[g.src]).enumerate() {
                 // Overlap: a station hearing both transmitters decodes
                 // neither.
-                if self.topo.hears[src][r] && self.topo.hears[g.src][r] {
-                    *d = true;
-                    g.dirty[r] = true;
+                if new && old {
+                    dirty.insert(r);
+                    g.dirty.insert(r);
                 }
             }
             // Half-duplex: a keyed-up station hears nothing, and keying up
             // mid-reception ruins the reception.
-            dirty[g.src] = true;
-            g.dirty[src] = true;
+            dirty.insert(g.src);
+            g.dirty.insert(src);
         }
         let ends = self.clock + self.timing.frame_duration(&frame);
         self.flights.push(Flight {
@@ -325,7 +434,6 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
             ends,
             dirty,
         });
-        self.refresh_carriers();
     }
 
     /// Every enabled transition from this state, in deterministic order:
@@ -383,11 +491,11 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
                 }
                 Tag::Flight(fi) => {
                     let f = &self.flights[fi];
-                    let clean: Vec<usize> = (0..self.topo.n)
+                    let clean: Vec<usize> = (0..self.shared.topo.n)
                         .filter(|&r| {
                             r != f.src
-                                && self.topo.hears[f.src][r]
-                                && !f.dirty[r]
+                                && self.shared.topo.hears[f.src][r]
+                                && !f.dirty.contains(r)
                                 && self.flights.iter().all(|g| g.src != r)
                         })
                         .collect();
@@ -396,8 +504,11 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
                         _ => 0,
                     };
                     for lost in subsets_up_to(&clean, loss_budget) {
-                        let surviving: Vec<usize> =
-                            clean.iter().copied().filter(|r| !lost.contains(r)).collect();
+                        let surviving: Vec<usize> = clean
+                            .iter()
+                            .copied()
+                            .filter(|r| !lost.contains(r))
+                            .collect();
                         for order in permutations(&surviving) {
                             if reduce && !self.foata_minimal(&order) {
                                 continue;
@@ -430,11 +541,24 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
     /// Apply one transition; returns the per-station actions it produced
     /// (for counterexample traces). `Err` carries a MAC invariant
     /// violation — itself a checkable outcome, not a crash.
-    pub fn apply(
+    pub fn apply(&mut self, ev: &WorldEvent) -> Result<ActionLog, MacInvariantViolation> {
+        let mut log = Vec::new();
+        self.transition(ev, Some(&mut log))?;
+        Ok(log)
+    }
+
+    /// [`World::apply`] without recording the actions: the explorer's hot
+    /// path. The transition is deterministic, so a trace that needs the
+    /// actions replays the same events through `apply`.
+    pub(crate) fn step(&mut self, ev: &WorldEvent) -> Result<(), MacInvariantViolation> {
+        self.transition(ev, None)
+    }
+
+    fn transition(
         &mut self,
         ev: &WorldEvent,
-    ) -> Result<Vec<(usize, Action)>, MacInvariantViolation> {
-        let mut log = Vec::new();
+        mut log: Option<&mut ActionLog>,
+    ) -> Result<(), MacInvariantViolation> {
         match ev {
             WorldEvent::Fire { station, blind } => {
                 let deadline = self.stations[*station]
@@ -442,20 +566,13 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
                     .expect("Fire chosen for a station with no armed timer");
                 // An epsilon-reordered firing may come up "late": never
                 // move the world clock backwards.
-                self.advance(deadline.max(self.clock));
+                self.clock = deadline.max(self.clock);
                 if *blind {
                     debug_assert!(self.budget > 0);
                     self.budget -= 1;
-                    self.stations[*station].set_carrier(false);
                 }
-                let obs = self.stations[*station].step(Stimulus::Timer)?;
-                for a in self.absorb(obs.actions) {
-                    log.push((*station, a));
-                }
-                if *blind {
-                    // Restore the true carrier state after the blinded query.
-                    self.refresh_carriers();
-                }
+                let obs = self.step_station(*station, Stimulus::Timer, *blind)?;
+                self.absorb(*station, obs.actions, log);
             }
             WorldEvent::FlightEnd {
                 src,
@@ -469,8 +586,7 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
                     .position(|f| f.src == *src)
                     .expect("FlightEnd chosen for an idle station");
                 let f = self.flights.remove(fi);
-                self.advance(f.ends.max(self.clock));
-                self.refresh_carriers();
+                self.clock = f.ends.max(self.clock);
                 if *noise {
                     debug_assert!(self.budget > 0);
                     self.budget -= 1;
@@ -482,26 +598,15 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
                     // own continuation — same discipline as the simulation
                     // core's event loop.
                     for &r in order {
-                        let obs = self.stations[r].step(Stimulus::Receive(f.frame))?;
-                        for a in self.absorb(obs.actions) {
-                            log.push((r, a));
-                        }
+                        let obs = self.step_station(r, Stimulus::Receive(f.frame), false)?;
+                        self.absorb(r, obs.actions, log.as_deref_mut());
                     }
                 }
-                let obs = self.stations[*src].step(Stimulus::TxEnd)?;
-                for a in self.absorb(obs.actions) {
-                    log.push((*src, a));
-                }
+                let obs = self.step_station(*src, Stimulus::TxEnd, false)?;
+                self.absorb(*src, obs.actions, log);
             }
         }
-        Ok(log)
-    }
-
-    fn advance(&mut self, t: SimTime) {
-        self.clock = t;
-        for s in &mut self.stations {
-            s.advance_to(t);
-        }
+        Ok(())
     }
 
     /// A station wedged in a state it can never leave: a wait state with
@@ -530,17 +635,10 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
     /// flight *sets* are equal but were keyed up in different orders — the
     /// residue of commuted event orders — canonicalize equal.
     pub fn canon(&self) -> CanonState<P::Snap> {
-        let mut flights: Vec<(usize, Frame, SimDuration, Vec<bool>)> = self
+        let mut flights: Vec<CanonFlight> = self
             .flights
             .iter()
-            .map(|f| {
-                (
-                    f.src,
-                    f.frame,
-                    f.ends.saturating_since(self.clock),
-                    f.dirty.clone(),
-                )
-            })
+            .map(|f| (f.src, f.frame, f.ends.saturating_since(self.clock), f.dirty))
             .collect();
         flights.sort_by_key(|(src, ..)| *src);
         CanonState {
@@ -567,13 +665,90 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
     /// index of the minimizing permutation (the explorer relabels sleep
     /// sets through it so they live in the same canonical label space).
     /// With the identity-only group this is exactly `canon()`.
+    ///
+    /// Ties go to the first minimal permutation. Each candidate image is
+    /// compared against the best so far one station at a time, through the
+    /// MAC's allocation-free [`MacSnapshot::cmp_relabeled`], and dropped at
+    /// its first larger station; only a new minimum is built. The result is
+    /// the same pair as relabeling every image and taking the first least
+    /// one.
     pub fn canon_min(&self) -> (CanonState<P::Snap>, usize) {
         let base = self.canon();
-        if self.topo.sym.len() <= 1 {
+        let sym = &self.shared.topo.sym;
+        if sym.len() <= 1 {
+            return (base, 0);
+        }
+        let mut best = self.relabel_canon(&base, &sym[0]);
+        let mut best_pi = 0;
+        for (pi, p) in sym.iter().enumerate().skip(1) {
+            let map = relabeling(p);
+            let inv = &self.shared.sym_inv[pi].station;
+            // Image station j is base station inv[j], relabeled.
+            let mut first_diff = None;
+            for (j, b) in best.stations.iter().enumerate() {
+                let (snap, timer, rng) = &base.stations[inv[j]];
+                let ord = P::cmp_relabeled(snap, &map, &b.0)
+                    .then(timer.cmp(&b.1))
+                    .then(rng.cmp(&b.2));
+                if ord != Ordering::Equal {
+                    first_diff = Some((j, ord));
+                    break;
+                }
+            }
+            // Stations tie: budget and counters are label-free, so the
+            // flights decide.
+            let ord = first_diff.map_or_else(
+                || cmp_relabeled_flights(&base.flights, p, inv, &map, &best.flights),
+                |(_, ord)| ord,
+            );
+            if ord == Ordering::Less {
+                // The stations before the first difference are equal.
+                let from = first_diff.map_or(best.stations.len(), |(j, _)| j);
+                for (j, slot) in best.stations.iter_mut().enumerate().skip(from) {
+                    *slot = relabel_station::<P>(&base.stations[inv[j]], &map);
+                }
+                best.flights = relabel_flights(&base.flights, p, &map);
+                best_pi = pi;
+            }
+        }
+        (best, best_pi)
+    }
+
+    /// Rewrite a canonical state through one symmetry: station tuples move
+    /// to their images (snapshots internally relabeled — peer tables
+    /// re-sorted by the MAC's own `relabel`), flight dirty sets are
+    /// permuted, and flights re-sorted by their new transmitter. Applied
+    /// to every orbit candidate, identity included, so the per-snapshot
+    /// normalizations compare consistently.
+    fn relabel_canon(&self, c: &CanonState<P::Snap>, p: &SymPerm) -> CanonState<P::Snap> {
+        let map = relabeling(p);
+        let mut stations: Vec<(usize, StationTuple<P::Snap>)> = c
+            .stations
+            .iter()
+            .enumerate()
+            .map(|(i, st)| (p.station[i], relabel_station::<P>(st, &map)))
+            .collect();
+        stations.sort_by_key(|(i, _)| *i);
+        CanonState {
+            stations: stations.into_iter().map(|(_, v)| v).collect(),
+            flights: relabel_flights(&c.flights, p, &map),
+            budget: c.budget,
+            delivered: c.delivered,
+            resolved: c.resolved,
+        }
+    }
+
+    /// The materialize-every-image symmetry minimum: relabel the whole
+    /// state through each permutation and keep the first least image. The
+    /// reference [`World::canon_min`] must agree with.
+    #[cfg(test)]
+    fn canon_min_reference(&self) -> (CanonState<P::Snap>, usize) {
+        let base = self.canon();
+        if self.shared.topo.sym.len() <= 1 {
             return (base, 0);
         }
         let mut best: Option<(CanonState<P::Snap>, usize)> = None;
-        for (pi, p) in self.topo.sym.iter().enumerate() {
+        for (pi, p) in self.shared.topo.sym.iter().enumerate() {
             let cand = self.relabel_canon(&base, p);
             match &best {
                 Some((b, _)) if *b <= cand => {}
@@ -581,46 +756,6 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
             }
         }
         best.expect("symmetry group is non-empty")
-    }
-
-    /// Rewrite a canonical state through one symmetry: station tuples move
-    /// to their images (snapshots internally relabeled — peer tables
-    /// re-sorted by the MAC's own `relabel`), flight dirty vectors are
-    /// permuted, and flights re-sorted by their new transmitter. Applied
-    /// to every orbit candidate, identity included, so the per-snapshot
-    /// normalizations compare consistently.
-    fn relabel_canon(&self, c: &CanonState<P::Snap>, p: &SymPerm) -> CanonState<P::Snap> {
-        let map = Relabeling {
-            station: &p.station,
-            stream: &p.stream,
-        };
-        type StationTuple<S> = (S, Option<SimDuration>, u64);
-        let mut stations: Vec<(usize, StationTuple<P::Snap>)> = c
-            .stations
-            .iter()
-            .enumerate()
-            .map(|(i, (s, t, d))| (p.station[i], (P::relabel(s, &map), *t, *d)))
-            .collect();
-        stations.sort_by_key(|(i, _)| *i);
-        let mut flights: Vec<(usize, Frame, SimDuration, Vec<bool>)> = c
-            .flights
-            .iter()
-            .map(|(src, frame, ends, dirty)| {
-                let mut nd = vec![false; dirty.len()];
-                for (r, d) in dirty.iter().enumerate() {
-                    nd[p.station[r]] = *d;
-                }
-                (p.station[*src], map.frame(frame), *ends, nd)
-            })
-            .collect();
-        flights.sort_by_key(|(src, ..)| *src);
-        CanonState {
-            stations: stations.into_iter().map(|(_, v)| v).collect(),
-            flights,
-            budget: c.budget,
-            delivered: c.delivered,
-            resolved: c.resolved,
-        }
     }
 
     /// The instant `ev` fires (its deadline; both events of an independent
@@ -648,10 +783,12 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
     /// receiver, each of which may key up its own radio.
     pub fn footprint(&self, ev: &WorldEvent) -> u64 {
         match ev {
-            WorldEvent::Fire { station, .. } => self.closure[*station],
-            WorldEvent::FlightEnd { src, order, .. } => order
-                .iter()
-                .fold(self.closure[*src], |m, &r| m | self.closure[r]),
+            WorldEvent::Fire { station, .. } => self.shared.closure[*station],
+            WorldEvent::FlightEnd { src, order, .. } => {
+                order.iter().fold(self.shared.closure[*src], |m, &r| {
+                    m | self.shared.closure[r]
+                })
+            }
         }
     }
 
@@ -679,9 +816,64 @@ impl<P: MacProtocol + MacSnapshot + Clone> World<P> {
     /// representatives.
     fn foata_minimal(&self, order: &[usize]) -> bool {
         order.windows(2).all(|w| {
-            w[0] < w[1] || self.topo.hears[w[0]][w[1]] || self.topo.hears[w[1]][w[0]]
+            w[0] < w[1] || self.shared.topo.hears[w[0]][w[1]] || self.shared.topo.hears[w[1]][w[0]]
         })
     }
+}
+
+fn relabeling(p: &SymPerm) -> Relabeling<'_> {
+    Relabeling {
+        station: &p.station,
+        stream: &p.stream,
+    }
+}
+
+/// One station's canonical tuple under a relabeling: the snapshot is
+/// rewritten by the MAC, timer offset and RNG digest are label-free.
+fn relabel_station<P: MacSnapshot>(
+    (snap, timer, rng): &StationTuple<P::Snap>,
+    map: &Relabeling<'_>,
+) -> StationTuple<P::Snap> {
+    (P::relabel(snap, map), *timer, *rng)
+}
+
+/// One canonical flight under a symmetry: transmitter, frame and dirty
+/// set relabeled.
+fn relabel_flight(
+    (src, frame, ends, dirty): &CanonFlight,
+    p: &SymPerm,
+    map: &Relabeling<'_>,
+) -> CanonFlight {
+    (
+        p.station[*src],
+        map.frame(frame),
+        *ends,
+        dirty.permute(&p.station),
+    )
+}
+
+/// Canonical flights under a symmetry, re-sorted by the new transmitter.
+fn relabel_flights(flights: &[CanonFlight], p: &SymPerm, map: &Relabeling<'_>) -> Vec<CanonFlight> {
+    let mut out: Vec<CanonFlight> = flights.iter().map(|f| relabel_flight(f, p, map)).collect();
+    out.sort_by_key(|(src, ..)| *src);
+    out
+}
+
+/// `relabel_flights(flights, p, map).cmp(other)` without building the
+/// image: walking new transmitter indices in order visits the image's
+/// flights in their sorted order. `inv` is the inverse of `p`.
+fn cmp_relabeled_flights(
+    flights: &[CanonFlight],
+    p: &SymPerm,
+    inv: &[usize],
+    map: &Relabeling<'_>,
+    other: &[CanonFlight],
+) -> Ordering {
+    let image = inv
+        .iter()
+        .filter_map(|&i| flights.iter().find(|f| f.0 == i))
+        .map(|f| relabel_flight(f, p, map));
+    image.cmp(other.iter().copied())
 }
 
 /// All subsets of `v` with at most `k` elements, smallest masks first
@@ -702,8 +894,10 @@ fn subsets_up_to(v: &[usize], k: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// All permutations of `v` in lexicographic index order (|v| is at most 3
-/// in any 2–4 station topology, so this never exceeds 6).
+/// All permutations of `v` in lexicographic index order. `v` is one
+/// flight's clean receivers, at most n − 1 of them: 4 receivers (24
+/// orders) on the 5-station `contended_cell`, one on the pair-cell
+/// families that reach 12 stations.
 fn permutations(v: &[usize]) -> Vec<Vec<usize>> {
     if v.len() <= 1 {
         return vec![v.to_vec()];
@@ -723,7 +917,7 @@ fn permutations(v: &[usize]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use macaw_mac::{MacConfig, WMac};
+    use macaw_mac::{MacConfig, WMac, WMacSnapshot};
 
     fn wmac_world(topo: Topology) -> World<WMac> {
         // Half the timeout margin: exact ties race, margin-guarded
@@ -742,7 +936,13 @@ mod tests {
         assert_eq!(w.state_kinds(), vec!["Contend", "Idle"]);
         let choices = w.choices();
         assert_eq!(choices.len(), 1, "only the contention timer is enabled");
-        assert!(matches!(choices[0], WorldEvent::Fire { station: 0, blind: false }));
+        assert!(matches!(
+            choices[0],
+            WorldEvent::Fire {
+                station: 0,
+                blind: false
+            }
+        ));
     }
 
     #[test]
@@ -766,7 +966,7 @@ mod tests {
         }
         if w.flights.len() == 2 {
             // Both RTS flights overlap at the shared receiver: dirty there.
-            assert!(w.flights.iter().all(|f| f.dirty[1]));
+            assert!(w.flights.iter().all(|f| f.dirty.contains(1)));
             // The flight-end choices offer no receivers.
             let evs = w.choices();
             assert!(evs.iter().all(|e| match e {
@@ -784,6 +984,81 @@ mod tests {
         // The same world advanced in wall-clock (by zero transitions) has
         // the same canonical state.
         assert_eq!(c1, w.canon());
+    }
+
+    /// Every relabel-and-compare shortcut orders exactly like relabeling
+    /// first: each station snapshot of `w` under each symmetry against
+    /// every snapshot of `other`, and the flights likewise.
+    fn assert_comparisons_agree(w: &World<WMac>, other: &CanonState<WMacSnapshot>) {
+        let base = w.canon();
+        for (pi, p) in w.topology().sym.iter().enumerate() {
+            let map = relabeling(p);
+            for (a, ..) in &base.stations {
+                for (b, ..) in &other.stations {
+                    assert_eq!(
+                        WMac::cmp_relabeled(a, &map, b),
+                        WMac::relabel(a, &map).cmp(b),
+                        "snapshot comparison under symmetry {pi}"
+                    );
+                }
+            }
+            let inv = &w.sym_inverse(pi).station;
+            assert_eq!(
+                cmp_relabeled_flights(&base.flights, p, inv, &map, &other.flights),
+                relabel_flights(&base.flights, p, &map).cmp(&other.flights),
+                "flight comparison under symmetry {pi}"
+            );
+        }
+    }
+
+    /// The lazy symmetry minimum returns exactly the reference's
+    /// `(CanonState, pi)` — representative and tie-break alike — on every
+    /// state of seeded random walks over symmetric families with losses.
+    #[test]
+    fn lazy_canon_min_matches_the_materialized_reference() {
+        let mut mc = MacConfig::macaw();
+        mc.max_retries = 2;
+        mc.bo_max = 4;
+        let band = TieBand::new(SimDuration::from_micros(25));
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        for topo in [
+            Topology::exposed_contenders(),
+            Topology::triple_cells(),
+            Topology::quad_cells(),
+        ] {
+            let name = topo.name;
+            let root = World::new(topo, FaultClass::Loss { budget: 2 }, band, 1, |i| {
+                WMac::new(Addr::Unicast(i), mc)
+            });
+            let (mut states, mut moved) = (0, 0);
+            for _walk in 0..24 {
+                let mut w = root.clone();
+                w.inject().unwrap();
+                for _step in 0..80 {
+                    let (fast, pi) = w.canon_min();
+                    let (min, min_pi) = w.canon_min_reference();
+                    assert_eq!((&fast, pi), (&min, min_pi), "{name}");
+                    assert_comparisons_agree(&w, &min);
+                    states += 1;
+                    moved += usize::from(pi != 0);
+                    let evs = w.choices();
+                    if evs.is_empty() {
+                        break;
+                    }
+                    // xorshift64: a fixed, dependency-free walk.
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    if w.step(&evs[rng as usize % evs.len()]).is_err() {
+                        break;
+                    }
+                }
+            }
+            assert!(
+                moved > 0 && moved < states,
+                "{name}: walks never left the identity"
+            );
+        }
     }
 
     #[test]

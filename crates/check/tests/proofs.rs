@@ -49,7 +49,9 @@ fn check_maca(topo: Topology, cfg: CheckConfig) -> CheckReport {
 }
 
 fn check_csma(topo: Topology, cfg: CheckConfig) -> CheckReport {
-    check("csma", &topo, &cfg, |i| Csma::new(Addr::Unicast(i), csma_cfg()))
+    check("csma", &topo, &cfg, |i| {
+        Csma::new(Addr::Unicast(i), csma_cfg())
+    })
 }
 
 /// Fail with the full counterexample rendering if the report is bad.

@@ -93,10 +93,8 @@ fn random_topology(n: usize, link_bits: u32, flow_pick: u32) -> Option<Topology>
             bit += 1;
         }
     }
-    let candidates: Vec<(usize, usize)> = links
-        .iter()
-        .flat_map(|&(a, b)| [(a, b), (b, a)])
-        .collect();
+    let candidates: Vec<(usize, usize)> =
+        links.iter().flat_map(|&(a, b)| [(a, b), (b, a)]).collect();
     if candidates.is_empty() {
         return None;
     }
@@ -178,8 +176,20 @@ fn split_exploration_is_deterministic_and_verdict_stable() {
     let fan = |n: usize, f: &(dyn Fn(usize) -> macaw_check::SubtreeOut + Sync)| {
         (0..n).map(f).collect::<Vec<_>>()
     };
-    let a = check_fan("macaw", &topo, &cfg, |i| WMac::new(Addr::Unicast(i), macaw_cfg()), fan);
-    let b = check_fan("macaw", &topo, &cfg, |i| WMac::new(Addr::Unicast(i), macaw_cfg()), fan);
+    let a = check_fan(
+        "macaw",
+        &topo,
+        &cfg,
+        |i| WMac::new(Addr::Unicast(i), macaw_cfg()),
+        fan,
+    );
+    let b = check_fan(
+        "macaw",
+        &topo,
+        &cfg,
+        |i| WMac::new(Addr::Unicast(i), macaw_cfg()),
+        fan,
+    );
 
     assert_eq!(a.ok(), serial.ok());
     assert_eq!(a.complete, serial.complete);

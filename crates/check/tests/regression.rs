@@ -6,7 +6,10 @@
 //! detection, fault branching or deepening schedule breaks, this test goes
 //! red before any protocol bug would be missed in the field.
 
-use macaw_check::{check, CheckConfig, Expectation, FaultClass, Topology, ViolationKind, WorldEvent};
+use macaw_check::{
+    check, check_fan, CheckConfig, CheckReport, Expectation, FaultClass, SubtreeOut, Topology,
+    ViolationKind, WorldEvent,
+};
 use macaw_mac::context::{MacContext, MacResult};
 use macaw_mac::{
     Addr, Frame, MacConfig, MacProtocol, MacSdu, MacSnapshot, Relabeling, WMac, WMacSnapshot,
@@ -69,14 +72,50 @@ impl MacSnapshot for NoWfCtsTimeout {
     }
 }
 
+/// The seeded-bug check: Loss budget 1, deepening one step at a time so
+/// the counterexample is exactly minimal, split at `split_depth` (zero:
+/// serial).
+fn check_seeded_bug(split_depth: u32) -> CheckReport {
+    let mut cfg = CheckConfig::new(FaultClass::Loss { budget: 1 }, Expectation::DeliverAll);
+    cfg.depth_step = 1;
+    cfg.split_depth = split_depth;
+    let serial_fan =
+        |n: usize, f: &(dyn Fn(usize) -> SubtreeOut + Sync)| (0..n).map(f).collect::<Vec<_>>();
+    check_fan(
+        "macaw-no-wfcts-timeout",
+        &Topology::shared_cell(2),
+        &cfg,
+        |i| NoWfCtsTimeout(WMac::new(Addr::Unicast(i), MacConfig::macaw())),
+        serial_fan,
+    )
+}
+
+/// Assert the rendered counterexample byte for byte against the golden
+/// file: event order, clocks, per-station actions and state names all
+/// matter.
+fn assert_golden(report: &CheckReport) {
+    let violation = report
+        .violation
+        .as_ref()
+        .expect("the seeded bug must be found");
+    assert_eq!(
+        format!("{violation}"),
+        include_str!("golden/wfcts_timeout.txt"),
+        "rendered counterexample drifted"
+    );
+}
+
+/// With a split, the first steps of the counterexample come from the job
+/// prefix and the rest from the job's own search; the rendering must not
+/// show the seam: it is byte for byte the serial run's.
+#[test]
+fn split_seeded_bug_counterexample_matches_the_serial_golden_text() {
+    assert_golden(&check_seeded_bug(2));
+}
+
 #[test]
 fn suppressed_wfcts_timeout_is_caught_with_a_minimal_counterexample() {
-    let mut cfg = CheckConfig::new(FaultClass::Loss { budget: 1 }, Expectation::DeliverAll);
-    // Deepen one step at a time so the counterexample is exactly minimal.
-    cfg.depth_step = 1;
-    let report = check("macaw-no-wfcts-timeout", &Topology::shared_cell(2), &cfg, |i| {
-        NoWfCtsTimeout(WMac::new(Addr::Unicast(i), MacConfig::macaw()))
-    });
+    let report = check_seeded_bug(0);
 
     let violation = report
         .violation
@@ -99,11 +138,17 @@ fn suppressed_wfcts_timeout_is_caught_with_a_minimal_counterexample() {
     assert_eq!(violation.trace.len(), 3, "{violation}");
     assert!(matches!(
         violation.trace[0].event,
-        WorldEvent::Fire { station: 0, blind: false }
+        WorldEvent::Fire {
+            station: 0,
+            blind: false
+        }
     ));
     match &violation.trace[1].event {
         WorldEvent::FlightEnd {
-            src, order, lost, noise,
+            src,
+            order,
+            lost,
+            noise,
         } => {
             assert_eq!(*src, 0);
             assert!(order.is_empty(), "the one receiver lost the frame");
@@ -114,12 +159,16 @@ fn suppressed_wfcts_timeout_is_caught_with_a_minimal_counterexample() {
     }
     assert!(matches!(
         violation.trace[2].event,
-        WorldEvent::Fire { station: 0, blind: false }
+        WorldEvent::Fire {
+            station: 0,
+            blind: false
+        }
     ));
     assert_eq!(
         violation.trace[2].states[0], "WfCts",
         "the sender is still parked in WfCts after its timer fired"
     );
+    assert_golden(&report);
 }
 
 #[test]
@@ -136,4 +185,49 @@ fn the_unmodified_protocol_passes_the_same_check() {
     });
     assert!(report.ok(), "{report}");
     assert!(report.complete);
+}
+
+/// The search itself is pinned, not just its verdict: the four rows of the
+/// benchmark's proof matrix (MACAW, `Loss { budget: 2 }`, `ResolveAll`,
+/// reduced, depth 96, checker seed 1) must explore exactly these counts.
+/// Any change to canonicalization, memo keys, the symmetry minimum or the
+/// sleep-set mapping that is meant to be behaviour-preserving must leave
+/// every tuple untouched.
+#[test]
+fn proof_matrix_search_counts_are_pinned() {
+    let want = [
+        ("exposed_contenders", 21547, 8227, 8, true),
+        ("twin_cells", 59031, 3893, 3194, true),
+        ("triple_cells", 10795, 2066, 1909, true),
+        ("quad_cells", 19461, 5428, 6933, true),
+    ];
+    let got: Vec<_> = [
+        Topology::exposed_contenders(),
+        Topology::twin_cells(),
+        Topology::triple_cells(),
+        Topology::quad_cells(),
+    ]
+    .iter()
+    .map(|topo| {
+        let mut cfg =
+            CheckConfig::new(FaultClass::Loss { budget: 2 }, Expectation::ResolveAll).reduced();
+        cfg.seed = 1;
+        cfg.max_depth = 96;
+        let report = check("macaw", topo, &cfg, |i| {
+            let mut mc = MacConfig::macaw();
+            mc.max_retries = 2;
+            mc.bo_max = 4;
+            WMac::new(Addr::Unicast(i), mc)
+        });
+        let s = &report.stats;
+        (
+            topo.name,
+            s.states_explored,
+            s.dedup_hits,
+            s.sleep_skips,
+            report.complete,
+        )
+    })
+    .collect();
+    assert_eq!(got, want, "proof-matrix search counts drifted");
 }

@@ -18,6 +18,9 @@
 //! [`Backoff`] packages one choice per axis behind a single interface the
 //! MAC state machine drives.
 
+use std::cmp::Ordering;
+
+use crate::context::{cmp_seq, StableOrder};
 use crate::frames::{Addr, BackoffHeader};
 
 /// The backoff-counter adjustment algorithm.
@@ -428,10 +431,30 @@ impl BackoffSnapshot {
         let mut peers: Vec<(usize, Peer)> = self
             .peers
             .iter()
-            .map(|(i, p)| (map.station.get(*i).copied().unwrap_or(*i), *p))
+            .map(|(i, p)| (map.station_index(*i), *p))
             .collect();
         peers.sort_by_key(|(i, _)| *i);
         BackoffSnapshot { my: self.my, peers }
+    }
+
+    /// `self.relabel(map).cmp(other)` without building the relabeled
+    /// snapshot.
+    pub(crate) fn cmp_relabeled(
+        &self,
+        map: &crate::context::Relabeling<'_>,
+        other: &BackoffSnapshot,
+    ) -> Ordering {
+        let Some(order) =
+            StableOrder::new(self.peers.len(), |k| map.station_index(self.peers[k].0))
+        else {
+            return self.relabel(map).cmp(other);
+        };
+        self.my.cmp(&other.my).then_with(|| {
+            cmp_seq(order.iter(), &other.peers, |k, b| {
+                let (i, p) = &self.peers[k];
+                (map.station_index(*i), *p).cmp(b)
+            })
+        })
     }
 }
 

@@ -7,6 +7,8 @@
 //! free of any knowledge of the event loop or the radio, so each transition
 //! can be unit-tested against a scripted context.
 
+use std::cmp::Ordering;
+
 use macaw_sim::{SimDuration, SimRng, SimTime};
 
 use crate::frames::{Addr, Frame, MacSdu, StreamId};
@@ -60,6 +62,64 @@ impl Relabeling<'_> {
             ..*f
         }
     }
+
+    /// Apply the station permutation to a bare station index.
+    pub(crate) fn station_index(&self, i: usize) -> usize {
+        self.station.get(i).copied().unwrap_or(i)
+    }
+}
+
+/// The order a stable sort by key puts a short list in, computed on the
+/// stack: lets a relabel-and-compare walk a relabeled, re-sorted table
+/// without building it.
+pub(crate) struct StableOrder {
+    idx: [u8; StableOrder::MAX],
+    len: usize,
+}
+
+impl StableOrder {
+    const MAX: usize = 16;
+
+    /// Positions `0..n` in the order `sort_by_key(key)` leaves them; `None`
+    /// for lists longer than the inline capacity.
+    pub(crate) fn new<K: Ord>(n: usize, key: impl Fn(usize) -> K) -> Option<Self> {
+        if n > Self::MAX {
+            return None;
+        }
+        let mut idx = [0u8; Self::MAX];
+        for i in 0..n {
+            // Insertion sort, never moving past an equal key: stable.
+            let k = key(i);
+            let mut j = i;
+            while j > 0 && key(idx[j - 1] as usize) > k {
+                idx[j] = idx[j - 1];
+                j -= 1;
+            }
+            idx[j] = i as u8;
+        }
+        Some(StableOrder { idx, len: n })
+    }
+
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.idx[..self.len].iter().map(|&i| i as usize)
+    }
+}
+
+/// Lexicographic comparison of two sequences under `cmp`, shorter-first on
+/// a common prefix: `Vec`'s `Ord`, for a left side that is never built.
+pub(crate) fn cmp_seq<A, B>(
+    a: impl ExactSizeIterator<Item = A>,
+    b: &[B],
+    mut cmp: impl FnMut(A, &B) -> Ordering,
+) -> Ordering {
+    let len = a.len();
+    for (x, y) in a.zip(b) {
+        match cmp(x, y) {
+            Ordering::Equal => {}
+            o => return o,
+        }
+    }
+    len.cmp(&b.len())
 }
 
 /// Upcalls a MAC can make into its environment.
@@ -213,6 +273,14 @@ pub trait MacSnapshot {
     /// permutation-stable order, so that for any two symmetric stations
     /// `relabel(snapshot(a)) == snapshot(b)` holds exactly.
     fn relabel(snap: &Self::Snap, map: &Relabeling<'_>) -> Self::Snap;
+
+    /// `relabel(snap, map).cmp(other)`: how `snap`'s image under `map`
+    /// orders against another snapshot. Explorers evaluate it for every
+    /// candidate image of a symmetry orbit, so implementations may compute
+    /// it without building the image; the result must be identical.
+    fn cmp_relabeled(snap: &Self::Snap, map: &Relabeling<'_>, other: &Self::Snap) -> Ordering {
+        Self::relabel(snap, map).cmp(other)
+    }
 
     /// Short name of the current protocol state (e.g. `"WfCts"`), for
     /// counterexample traces and stuck-state reporting.

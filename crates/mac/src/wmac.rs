@@ -35,6 +35,7 @@
 //! explicit finding that the DS packet is what fixes the Figure-5 exposed
 //! terminal configuration.
 
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 use macaw_sim::SimTime;
@@ -42,8 +43,8 @@ use macaw_sim::SimTime;
 use crate::backoff::{Backoff, BackoffSnapshot};
 use crate::config::{MacConfig, QueueMode};
 use crate::context::{
-    MacContext, MacFeedback, MacInvariantViolation, MacProtocol, MacResult, MacSnapshot,
-    Relabeling,
+    cmp_seq, MacContext, MacFeedback, MacInvariantViolation, MacProtocol, MacResult,
+    MacSnapshot, Relabeling, StableOrder,
 };
 use crate::frames::{Addr, Frame, FrameKind, MacSdu, StreamId};
 
@@ -1063,42 +1064,6 @@ impl MacSnapshot for WMac {
     }
 
     fn relabel(snap: &WMacSnapshot, map: &Relabeling<'_>) -> WMacSnapshot {
-        let packet = |p: &Packet| Packet {
-            dst: map.addr(p.dst),
-            sdu: map.sdu(p.sdu),
-            ..*p
-        };
-        let state = match snap.state {
-            State::Contend {
-                what: ContendFor::Rrts { peer },
-            } => State::Contend {
-                what: ContendFor::Rrts {
-                    peer: map.addr(peer),
-                },
-            },
-            State::SendCts { peer, bytes, esn } => State::SendCts {
-                peer: map.addr(peer),
-                bytes,
-                esn,
-            },
-            State::WfDs { peer, bytes, esn } => State::WfDs {
-                peer: map.addr(peer),
-                bytes,
-                esn,
-            },
-            State::WfData { peer, bytes, esn } => State::WfData {
-                peer: map.addr(peer),
-                bytes,
-                esn,
-            },
-            State::SendRrts { peer } => State::SendRrts {
-                peer: map.addr(peer),
-            },
-            State::WfRts { peer } => State::WfRts {
-                peer: map.addr(peer),
-            },
-            s => s,
-        };
         // Slot order is arrival order, which is not permutation-stable (two
         // symmetric stations may have created their per-stream slots in
         // different orders), so relabeled slots are re-sorted by key and
@@ -1111,8 +1076,8 @@ impl MacSnapshot for WMac {
             .enumerate()
             .map(|(i, s)| {
                 let mapped = QueueSlot {
-                    key: s.key.map(|(a, st)| (map.addr(a), map.stream_id(st))),
-                    q: s.q.iter().map(packet).collect(),
+                    key: relabel_key(s.key, map),
+                    q: s.q.iter().map(|p| relabel_packet(p, map)).collect(),
                 };
                 (mapped, snap.current == Some(i))
             })
@@ -1122,19 +1087,69 @@ impl MacSnapshot for WMac {
         let mut acked: Vec<(usize, VecDeque<u64>)> = snap
             .acked
             .iter()
-            .map(|(peer, w)| (map.station.get(*peer).copied().unwrap_or(*peer), w.clone()))
+            .map(|(peer, w)| (map.station_index(*peer), w.clone()))
             .collect();
         acked.sort_by_key(|(peer, _)| *peer);
         WMacSnapshot {
-            state,
+            state: relabel_state(snap.state, map),
             current,
             rrts_pending: snap.rrts_pending.map(|a| map.addr(a)),
             slots: slots.into_iter().map(|(s, _)| s).collect(),
             acked,
-            nack_cache: snap.nack_cache.as_ref().map(packet),
+            nack_cache: snap.nack_cache.as_ref().map(|p| relabel_packet(p, map)),
             groups: snap.groups.clone(),
             backoff: snap.backoff.relabel(map),
         }
+    }
+
+    /// Field by field in the derived `Ord`'s order, relabeling scalars on
+    /// the fly and walking the re-sorted tables through their stable sort
+    /// order: no allocation.
+    fn cmp_relabeled(snap: &WMacSnapshot, map: &Relabeling<'_>, other: &WMacSnapshot) -> Ordering {
+        let ord = relabel_state(snap.state, map).cmp(&other.state);
+        if ord != Ordering::Equal {
+            return ord;
+        }
+        let (Some(slots), Some(acked)) = (
+            StableOrder::new(snap.slots.len(), |i| relabel_key(snap.slots[i].key, map)),
+            StableOrder::new(snap.acked.len(), |i| map.station_index(snap.acked[i].0)),
+        ) else {
+            return Self::relabel(snap, map).cmp(other);
+        };
+        let current = slots.iter().position(|i| snap.current == Some(i));
+        current
+            .cmp(&other.current)
+            .then_with(|| {
+                snap.rrts_pending
+                    .map(|a| map.addr(a))
+                    .cmp(&other.rrts_pending)
+            })
+            .then_with(|| {
+                cmp_seq(slots.iter(), &other.slots, |i, b| {
+                    let a = &snap.slots[i];
+                    relabel_key(a.key, map).cmp(&b.key).then_with(|| {
+                        a.q.iter()
+                            .map(|p| relabel_packet(p, map))
+                            .cmp(b.q.iter().copied())
+                    })
+                })
+            })
+            .then_with(|| {
+                cmp_seq(acked.iter(), &other.acked, |i, (peer, w)| {
+                    let (a_peer, a_w) = &snap.acked[i];
+                    map.station_index(*a_peer)
+                        .cmp(peer)
+                        .then_with(|| a_w.cmp(w))
+                })
+            })
+            .then_with(|| {
+                snap.nack_cache
+                    .as_ref()
+                    .map(|p| relabel_packet(p, map))
+                    .cmp(&other.nack_cache)
+            })
+            .then_with(|| snap.groups.cmp(&other.groups))
+            .then_with(|| snap.backoff.cmp_relabeled(map, &other.backoff))
     }
 
     fn state_kind(&self) -> &'static str {
@@ -1185,6 +1200,52 @@ impl MacSnapshot for WMac {
                 | State::SendMcastRts
                 | State::SendMcastData
         )
+    }
+}
+
+fn relabel_packet(p: &Packet, map: &Relabeling<'_>) -> Packet {
+    Packet {
+        dst: map.addr(p.dst),
+        sdu: map.sdu(p.sdu),
+        ..*p
+    }
+}
+
+fn relabel_key(key: Option<(Addr, StreamId)>, map: &Relabeling<'_>) -> Option<(Addr, StreamId)> {
+    key.map(|(a, st)| (map.addr(a), map.stream_id(st)))
+}
+
+fn relabel_state(state: State, map: &Relabeling<'_>) -> State {
+    match state {
+        State::Contend {
+            what: ContendFor::Rrts { peer },
+        } => State::Contend {
+            what: ContendFor::Rrts {
+                peer: map.addr(peer),
+            },
+        },
+        State::SendCts { peer, bytes, esn } => State::SendCts {
+            peer: map.addr(peer),
+            bytes,
+            esn,
+        },
+        State::WfDs { peer, bytes, esn } => State::WfDs {
+            peer: map.addr(peer),
+            bytes,
+            esn,
+        },
+        State::WfData { peer, bytes, esn } => State::WfData {
+            peer: map.addr(peer),
+            bytes,
+            esn,
+        },
+        State::SendRrts { peer } => State::SendRrts {
+            peer: map.addr(peer),
+        },
+        State::WfRts { peer } => State::WfRts {
+            peer: map.addr(peer),
+        },
+        s => s,
     }
 }
 
@@ -1720,6 +1781,72 @@ mod tests {
         mac.on_receive(&mut ctx, &frame(FrameKind::Nack, B, A, 512, 1)).unwrap();
         let deadline = ctx.timer.expect("quiet timer armed");
         assert_eq!(deadline.since(ctx.now()), cfg.defer_after_rts());
+    }
+
+    /// The allocation-free `cmp_relabeled` orders exactly like relabeling
+    /// first, on snapshots whose queue, re-ACK and backoff tables are out of
+    /// key order (so every image must be re-sorted), under several station
+    /// and stream permutations, against each other and their own images.
+    #[test]
+    fn cmp_relabeled_orders_like_relabel_then_cmp() {
+        let d = Addr::Unicast(3);
+        let mut mac = WMac::new(A, MacConfig::macaw());
+        let mut ctx = ScriptedContext::new(42);
+        for (dst, stream) in [(d, 5), (B, 2), (C, 6), (B, 1)] {
+            let sdu = MacSdu {
+                stream: StreamId(stream),
+                transport_seq: 1,
+                bytes: 512,
+            };
+            mac.enqueue(&mut ctx, dst, sdu).unwrap();
+        }
+        for peer in [d, C, B] {
+            mac.on_receive(&mut ctx, &frame(FrameKind::Cts, peer, A, 512, 3))
+                .unwrap();
+        }
+        let base = mac.snapshot(ctx.now());
+        let fresh = WMac::new(A, MacConfig::macaw()).snapshot(ctx.now());
+        assert!(base.slots.len() == 4 && base.backoff != fresh.backoff);
+        let mut snaps = vec![base.clone()];
+        let mut s = base.clone();
+        s.current = Some(2);
+        s.acked = vec![(3, VecDeque::from([4])), (1, VecDeque::from([2, 5]))];
+        snaps.push(s);
+        let mut s = base.clone();
+        s.slots.swap(0, 3);
+        s.state = State::WfDs {
+            peer: d,
+            bytes: 512,
+            esn: 4,
+        };
+        s.rrts_pending = Some(C);
+        snaps.push(s);
+        let mut s = base;
+        s.slots[1].q.clear();
+        s.nack_cache = snaps[0].slots[0].q.front().copied();
+        s.state = State::Contend {
+            what: ContendFor::Rrts { peer: B },
+        };
+        snaps.push(s);
+
+        let stations: [&[usize]; 3] = [&[0, 1, 2, 3], &[0, 3, 2, 1], &[2, 3, 0, 1]];
+        let streams: [&[u32]; 2] = [&[0, 1, 2, 3, 4, 5, 6], &[6, 5, 4, 3, 2, 1, 0]];
+        for station in stations {
+            for stream in streams {
+                let map = Relabeling { station, stream };
+                let images: Vec<WMacSnapshot> =
+                    snaps.iter().map(|s| WMac::relabel(s, &map)).collect();
+                for a in &snaps {
+                    for b in snaps.iter().chain(&images) {
+                        assert_eq!(
+                            WMac::cmp_relabeled(a, &map, b),
+                            WMac::relabel(a, &map).cmp(b),
+                            "{station:?} {stream:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

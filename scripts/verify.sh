@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: offline release build, lint wall, full test suite,
+# Tier-1 verification: offline release build, lint wall, rustfmt on the
+# model checker, full test suite, perfbench's own tests,
 # the `macaw-bench tables --quick` golden diff, and smoke runs of the
 # `macaw-bench` subcommands. Exits non-zero if anything fails to build,
 # clippy reports any warning, any test fails, the tables drift by a byte
@@ -14,6 +15,9 @@ cargo build --release --workspace
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustfmt (model checker) =="
+cargo fmt --check -p macaw-check
 
 echo "== tests =="
 cargo test -q --workspace
@@ -60,6 +64,9 @@ cargo test -q --release -p macaw-bench --test sharding
 echo "== replicate smoke (executor + run cache + multi-seed sweep) =="
 cargo run --release -p macaw-bench -- replicate --quick
 cargo test -q --release -p macaw-bench --test executor
+
+echo "== perfbench's own tests (transparency + output format) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== alloc-stats feature gate =="
 cargo build --release -p macaw-bench --features alloc-stats
