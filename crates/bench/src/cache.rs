@@ -233,6 +233,27 @@ mod tests {
     }
 
     #[test]
+    fn previous_format_entry_is_a_miss() {
+        // A v3 entry counted silent deferral expiries as events; serving it
+        // would report a pre-parking event count.
+        let dir = scratch("v3");
+        let cache = RunCache::new(&dir);
+        let sc = tiny_scenario(11);
+        let key = RunCache::key(&sc, DUR, WARM);
+        let (fresh, _) = cache.run_cached(sc, DUR, WARM).unwrap();
+        let path = cache.path(key).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let v4 = "macaw-runreport v4\n";
+        assert!(text.starts_with(v4), "entries are written in the v4 format");
+        std::fs::write(&path, text.replacen(v4, "macaw-runreport v3\n", 1)).unwrap();
+        assert!(cache.load(key).is_none(), "a v3 entry must miss");
+        let (rerun, executed) = cache.run_cached(tiny_scenario(11), DUR, WARM).unwrap();
+        assert!(executed, "a v3 entry must re-execute");
+        assert_eq!(fresh, rerun);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn disabled_cache_always_executes() {
         let cache = RunCache::disabled();
         assert!(!cache.enabled());

@@ -16,6 +16,20 @@
 //! interleaves them exactly as if every timer had been queued. Re-arming a
 //! timer is then an O(1) overwrite instead of a heap push plus a stale pop.
 //!
+//! Most MAC timers in a large network are deferral expiries at stations
+//! with nothing to send: the station overheard someone's RTS/CTS/DS, went
+//! QUIET, and its expiry would only set it idle again
+//! ([`MacProtocol::timer_is_silent`]). Such a timer is *parked*: it keeps
+//! its `(deadline, sort key)` in the slot but stays out of the run loop's
+//! timer index, so it is never dispatched as an event. Nothing can observe
+//! the station until the next call into its MAC, so just before that call
+//! (and before a power-off or crash clears the slot) a parked timer that
+//! sorts before the event being dispatched is fired first — the same
+//! transition the eager engine made earlier, with nothing watching in
+//! between. Catch-up fires are not events: `events_processed`, the
+//! livelock and watchdog guards and [`TraceEvent::MacTimer`] see only
+//! dispatched events, while every other report field is unchanged.
+//!
 //! End-of-transmission events carry a lower same-instant priority value
 //! than timers, so a station whose contention slot lands exactly where an
 //! overheard frame ends processes the frame — and defers — before its own
@@ -57,7 +71,8 @@ pub enum TraceEvent {
         clean: Vec<usize>,
         dirty: Vec<usize>,
     },
-    /// A MAC timer fired at a station.
+    /// A MAC timer was dispatched at a station. A parked timer fired late
+    /// (see the module docs) is not an event and is not traced.
     MacTimer { at: SimTime, station: usize },
 }
 
@@ -115,8 +130,10 @@ const TIMER_ABSENT: u32 = u32::MAX;
 /// [`TimerIndex`] heap arity (same fan-out as the simulator's FEL heaps).
 const TIMER_ARITY: usize = 4;
 
-/// Incremental index of pending timers: an array-backed 4-ary min-heap
-/// with decrease-key support. Each armed slot owns at most one heap node,
+/// Incremental index of the pending timers the run loop dispatches (every
+/// transport timer and every MAC timer that is not parked; see the module
+/// docs): an array-backed 4-ary min-heap with decrease-key support. Each
+/// indexed slot owns at most one heap node,
 /// found through a dense position map (`pos_mac` by station, `pos_tp` by
 /// transport slot), so re-arming a timer moves its node in place and
 /// clearing one deletes it — [`TimerIndex::peek`] is O(1) and exact, with
@@ -126,8 +143,8 @@ const TIMER_ARITY: usize = 4;
 /// every overheard frame, that cost ~1.6 pushes plus ~0.9 dead pops per
 /// simulation event and dominated the run loop. Sort keys come from
 /// [`EventQueue::alloc_key`]'s globally unique counter, so the minimum is
-/// unambiguous and fire order is identical to a full linear scan (kept as
-/// the `scan_timers` debug oracle).
+/// unambiguous and fire order is identical to a full linear scan over the
+/// unparked slots (kept as the `scan_timers` debug oracle).
 #[derive(Default)]
 struct TimerIndex {
     /// Heap nodes `(deadline, sort key, slot)`, minimum at index 0.
@@ -150,10 +167,32 @@ impl TimerIndex {
         self.pos_tp.resize(len, TIMER_ABSENT);
     }
 
-    /// The earliest pending timer across every slot, O(1).
+    /// The earliest indexed timer across every slot, O(1).
     #[inline]
     fn peek(&self) -> Option<(SimTime, u64, u32)> {
         self.heap.first().copied()
+    }
+
+    /// Whether `station`'s MAC timer has a node (an armed MAC slot without
+    /// one is parked).
+    #[inline]
+    fn has_mac(&self, station: usize) -> bool {
+        self.pos_mac[station] != TIMER_ABSENT
+    }
+
+    /// Make `station`'s node hold `want` ([`NO_TIMER`]: no node), touching
+    /// the heap only if it does not already.
+    #[inline]
+    fn sync_mac(&mut self, station: usize, want: PendingTimer) {
+        let p = self.pos_mac[station];
+        let have = if p == TIMER_ABSENT {
+            NO_TIMER
+        } else {
+            self.key(p as usize)
+        };
+        if have != want {
+            self.note_write(station as u32, want);
+        }
     }
 
     #[inline]
@@ -383,12 +422,13 @@ pub struct Network<M: Medium = SparseMedium, Q: FelChoice = LadderFel> {
     /// instead of scanning `streams` — O(1) per delivered SDU rather than
     /// O(streams).
     stream_index: FastHashMap<u32, usize>,
-    /// MAC timer slot per station (dense, scanned every event).
+    /// MAC timer slot per station, armed or parked (see the module docs).
     mac_timers: Vec<PendingTimer>,
     /// Transport timer slots, two per stream (`2*stream + side`, sender
     /// first). Multicast streams' receiver slots simply stay idle.
     tp_timers: Vec<PendingTimer>,
-    /// Earliest-pending-timer index over `mac_timers` + `tp_timers`.
+    /// Earliest-pending-timer index over `tp_timers` and the unparked
+    /// `mac_timers`.
     timer_index: TimerIndex,
     actions: Vec<ScheduledAction>,
     /// Flat move table for [`ActionKind::MoveBatch`]: each batch action
@@ -400,8 +440,13 @@ pub struct Network<M: Medium = SparseMedium, Q: FelChoice = LadderFel> {
     data_air_ns: u64,
     /// Total on-air time of all frames after warm-up.
     air_ns: u64,
-    /// Events popped from the queue so far (perf accounting).
+    /// Events dispatched so far: queue pops plus indexed timer fires
+    /// (perf accounting). Catch-up fires of parked timers are not events.
     events_processed: u64,
+    /// `(time, sort key)` of the event being dispatched. A parked MAC
+    /// timer that sorts before it would have fired earlier in an eager
+    /// engine, and fires before its station's MAC is next called.
+    dispatching: PendingTimer,
     /// Reusable delivery buffer for [`Medium::end_tx_into`], so frame
     /// delivery allocates nothing in steady state.
     delivery_buf: Vec<Delivery>,
@@ -459,6 +504,7 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             data_air_ns: 0,
             air_ns: 0,
             events_processed: 0,
+            dispatching: (SimTime::ZERO, 0),
             delivery_buf: Vec::new(),
             island_of_station: Vec::new(),
             island_of_stream: Vec::new(),
@@ -486,7 +532,8 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
         self.medium.add_corruption_window(w);
     }
 
-    /// Install a tracer receiving a [`TraceEvent`] per frame and MAC timer.
+    /// Install a tracer receiving a [`TraceEvent`] per frame and per
+    /// dispatched MAC timer.
     pub fn set_tracer(&mut self, tracer: Box<dyn FnMut(TraceEvent)>) {
         self.tracer = Some(tracer);
     }
@@ -680,12 +727,14 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             // double traversal the loop used to do.
             let timer = self.peek_timer();
             match self.queue.pop_next(timer.map(|(t, k, _)| (t, k)), end) {
-                NextFire::Queued(t, ev) => {
+                NextFire::Queued(t, key, ev) => {
+                    self.dispatching = (t, key);
                     self.check_watchdog(t)?;
                     self.handle(ev)?;
                 }
                 NextFire::External(t) => {
-                    let (_, _, slot) = timer.expect("external fire without a pending timer");
+                    let (_, key, slot) = timer.expect("external fire without a pending timer");
+                    self.dispatching = (t, key);
                     self.check_watchdog(t)?;
                     self.fire_timer(slot)?;
                 }
@@ -739,20 +788,28 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             .filter(|s| s.tx.is_some())
             .map(|s| s.name.as_str())
             .collect();
-        let armed_mac = self.mac_timers.iter().filter(|&&t| t != NO_TIMER).count();
+        let set_mac = self.mac_timers.iter().filter(|&&t| t != NO_TIMER).count();
+        let armed_mac = self
+            .timer_index
+            .pos_mac
+            .iter()
+            .filter(|&&p| p != TIMER_ABSENT)
+            .count();
         let armed_tp = self.tp_timers.iter().filter(|&&t| t != NO_TIMER).count();
         format!(
-            "in flight: {:?}, armed timers: {} MAC + {} transport, queue length: {}",
+            "in flight: {:?}, armed timers: {} MAC + {} transport, parked MAC timers: {}, \
+             queue length: {}",
             transmitting,
             armed_mac,
             armed_tp,
+            set_mac - armed_mac,
             self.queue.len()
         )
     }
 
-    /// The earliest pending timer across all stations and transport
+    /// The earliest dispatchable timer across all stations and transport
     /// endpoints: the head of the decrease-key [`TimerIndex`], O(1) and
-    /// always exact (every armed slot owns exactly one node).
+    /// always exact (every armed, unparked slot owns exactly one node).
     fn peek_timer(&self) -> Option<(SimTime, u64, u32)> {
         let head = self.timer_index.peek();
         match head {
@@ -769,13 +826,14 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
     }
 
     /// Debug oracle for [`Network::peek_timer`]: the full linear min scan
-    /// the lazy heap replaced.
+    /// the lazy heap replaced, skipping MACs whose timer is silent (parked).
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     fn scan_timers(&self) -> (PendingTimer, u32) {
         let mut best = NO_TIMER;
         let mut slot = 0u32;
         for (i, &tk) in self.mac_timers.iter().enumerate() {
-            if tk < best {
+            let mac = self.stations[i].mac.as_ref();
+            if tk < best && !mac.is_some_and(|m| m.timer_is_silent()) {
                 best = tk;
                 slot = i as u32;
             }
@@ -822,7 +880,10 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
     }
 
     /// Total number of events processed since construction (the natural
-    /// unit for engine throughput: events per wall-clock second).
+    /// unit for engine throughput: events per wall-clock second). Counts
+    /// queue pops and dispatched timers; a parked MAC timer's silent expiry
+    /// is not an event (see the module docs), so removing such work lowers
+    /// this count, and events per second, while wall time falls.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -957,6 +1018,7 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
                 self.medium.set_positions(&self.moves[s..s + len as usize]);
             }
             ActionKind::PowerOff { station } => {
+                self.fire_passed_parked(station)?;
                 self.stations[station].on = false;
                 self.mac_timers[station] = NO_TIMER;
                 self.timer_index.note_write(station as u32, NO_TIMER);
@@ -971,6 +1033,7 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
                 station,
                 preserve_queues,
             } => {
+                self.fire_passed_parked(station)?;
                 let now = self.queue.now();
                 let slot = &mut self.stations[station];
                 slot.on = false;
@@ -1014,7 +1077,45 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
     // context from the remaining disjoint fields, call, put back.
     // ------------------------------------------------------------------
 
+    /// Call into `station`'s MAC, first firing its parked timer if that
+    /// sorts before the event being dispatched.
     fn with_mac(
+        &mut self,
+        station: usize,
+        f: impl FnOnce(&mut dyn MacProtocol, &mut CoreMacCtx<M, Q::Fel<Event>>) -> MacResult,
+    ) -> Result<(), SimError> {
+        self.fire_passed_parked(station)?;
+        self.call_mac(station, f)
+    }
+
+    /// Fire `station`'s MAC timer now if it is parked and its deadline
+    /// passed before the event being dispatched, so the MAC is in the state
+    /// the eager engine would have left it in. Every indexed timer sorts
+    /// after the event being dispatched (it would have been dispatched
+    /// first otherwise), so a slot sorting before it is necessarily parked.
+    fn fire_passed_parked(&mut self, station: usize) -> Result<(), SimError> {
+        if self.mac_timers[station] >= self.dispatching {
+            return Ok(());
+        }
+        debug_assert!(
+            !self.timer_index.has_mac(station),
+            "a passed timer was indexed"
+        );
+        self.mac_timers[station] = NO_TIMER;
+        let effects = self.effects.len();
+        self.call_mac(station, |mac, ctx| mac.on_timer(ctx))?;
+        debug_assert!(
+            self.mac_timers[station] == NO_TIMER
+                && self.effects.len() == effects
+                && self.stations[station].tx.is_none(),
+            "a parked timer's expiry armed, sent or reported something"
+        );
+        Ok(())
+    }
+
+    /// Call into `station`'s MAC, then index its timer unless the MAC says
+    /// the timer is silent, in which case it stays parked in its slot.
+    fn call_mac(
         &mut self,
         station: usize,
         f: impl FnOnce(&mut dyn MacProtocol, &mut CoreMacCtx<M, Q::Fel<Event>>) -> MacResult,
@@ -1036,7 +1137,6 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
                 medium: &mut self.medium,
                 rng: &mut slot.rng,
                 mac_timer: &mut self.mac_timers[station],
-                timer_index: &mut self.timer_index,
                 tx: &mut slot.tx,
                 island_live: &mut self.island_live,
                 island_high: &mut self.island_high,
@@ -1044,6 +1144,13 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             };
             f(mac.as_mut(), &mut ctx)
         };
+        let tk = self.mac_timers[station];
+        let want = if tk != NO_TIMER && mac.timer_is_silent() {
+            NO_TIMER
+        } else {
+            tk
+        };
+        self.timer_index.sync_mac(station, want);
         self.stations[station].mac = Some(mac);
         result.map_err(|violation| SimError::MacInvariant { at: now, violation })
     }
@@ -1349,7 +1456,6 @@ struct CoreMacCtx<'a, M: Medium, F: Fel<Event>> {
     medium: &'a mut ChaosMedium<M>,
     rng: &'a mut SimRng,
     mac_timer: &'a mut PendingTimer,
-    timer_index: &'a mut TimerIndex,
     tx: &'a mut Option<(TxId, Frame)>,
     island_live: &'a mut [usize],
     island_high: &'a mut [usize],
@@ -1364,16 +1470,14 @@ impl<M: Medium, F: Fel<Event>> MacContext for CoreMacCtx<'_, M, F> {
     // The timer never touches the event queue: re-arming overwrites the
     // station's single slot, and the sort key (drawn from the queue's
     // insertion counter) keeps the fire order identical to a queued event's.
+    // `Network::call_mac` indexes (or parks) the slot once the MAC returns.
 
     fn set_timer(&mut self, delay: SimDuration) {
         *self.mac_timer = (self.now + delay, self.queue.alloc_key(PRIO_TIMER));
-        self.timer_index
-            .note_write(self.station as u32, *self.mac_timer);
     }
 
     fn clear_timer(&mut self) {
         *self.mac_timer = NO_TIMER;
-        self.timer_index.note_write(self.station as u32, NO_TIMER);
     }
 
     fn transmit(&mut self, frame: Frame) {
@@ -1464,7 +1568,7 @@ impl<F: Fel<Event>> TransportContext for CoreTransportCtx<'_, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{MacKind, Scenario};
+    use crate::scenario::{Dest, MacKind, Scenario, SourceKind, StreamSpec, TransportKind};
     use macaw_phy::Point;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -1571,6 +1675,215 @@ mod tests {
             }
             other => panic!("expected WatchdogTripped, got {other:?}"),
         }
+    }
+
+    /// B, with pad P sending to it and a bystander X that overhears every
+    /// exchange. X's own stream starts far past any run here, so X has
+    /// nothing queued — its deferral expiries park — until a test injects
+    /// an arrival.
+    fn bystander_cell() -> (Scenario, usize, usize) {
+        let mut sc = Scenario::new(9);
+        let b = sc.add_station("B", Point::new(0.0, 0.0, 6.0), MacKind::Macaw);
+        let p = sc.add_station("P", Point::new(3.0, 0.0, 0.0), MacKind::Macaw);
+        let x = sc.add_station("X", Point::new(-3.0, 0.0, 0.0), MacKind::Macaw);
+        sc.add_udp_stream("P-B", p, b, 16, 512);
+        let xs = sc.add_stream(StreamSpec {
+            name: "X-B".into(),
+            src: x,
+            dst: Dest::Station(b),
+            transport: TransportKind::Udp,
+            source: SourceKind::Cbr { pps: 16 },
+            bytes: 512,
+            start: SimTime::ZERO + SimDuration::from_secs(1000),
+            stop: None,
+        });
+        (sc, x, xs)
+    }
+
+    fn at_ms(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    /// `station`'s parked timer, if it has one.
+    fn parked(net: &Network, station: usize) -> Option<PendingTimer> {
+        let tk = net.mac_timers[station];
+        (tk != NO_TIMER && !net.timer_index.has_mac(station)).then_some(tk)
+    }
+
+    /// Queue an application arrival for `stream` at `at`, as `prime` does.
+    fn inject_arrival(net: &mut Network, at: SimTime, stream: usize) {
+        net.queue.schedule(
+            at,
+            Event::AppArrival {
+                stream: stream as u32,
+            },
+        );
+        note_island_schedule(
+            &mut net.island_live,
+            &mut net.island_high,
+            net.island_of_stream[stream],
+        );
+    }
+
+    /// Step until `station` holds a parked timer that nothing touches
+    /// before its deadline; return the time found and the timer.
+    fn first_undisturbed_parked(net: &mut Network, station: usize) -> (SimTime, PendingTimer) {
+        for ms in 1..2000 {
+            let t = at_ms(ms);
+            net.run_until(t).unwrap();
+            let Some(tk) = parked(net, station) else {
+                continue;
+            };
+            let mut probe = Scenario::build(bystander_cell().0).unwrap();
+            probe.run_until(tk.0 - SimDuration::from_nanos(1)).unwrap();
+            if parked(&probe, station).is_some_and(|p| p.0 == tk.0) {
+                return (t, tk);
+            }
+        }
+        panic!("no undisturbed parked timer at station {station}");
+    }
+
+    /// Every report line but the cache-format header and the event count,
+    /// the two lines parking changes.
+    fn without_events(text: &str) -> String {
+        text.lines()
+            .skip(1)
+            .filter(|l| !l.starts_with("events "))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    }
+
+    const RUN_END_MS: u64 = 2000;
+
+    /// The bystander cell's report as the eager engine (every deferral
+    /// expiry dispatched as an event) produced it, when X's first
+    /// application packet arrives at the very instant its deferral expires.
+    /// Both tie orders give this report: the MAC ends up contending from
+    /// the same instant either way.
+    const TIE_GOLDEN: &str = "measured_secs 2.0
+stream P-B P B 32 32 16.0 16.0 16384
+stream X-B X B 32 31 16.0 15.5 15872
+station B
+station P
+station X
+macstat 0 0 0 64 0 0 63 0 0 0 0 63 0 0
+macstat 32 0 32 0 32 32 0 0 0 0 0 0 32 0
+macstat 32 0 32 0 32 32 0 0 0 0 0 0 31 0
+mac_drops 0 0 0
+air 1.008 1.2470625
+queue 386 382 0 4
+end
+";
+    /// Events of each tie order; the eager engine dispatched 509 in both.
+    /// Keyed first, the tied expiry is a catch-up fire, not an event; keyed
+    /// after the arrival that unparks it, it is dispatched as one.
+    const TIE_EVENTS_TIMER_FIRST: u64 = 477;
+    const TIE_EVENTS_ARRIVAL_FIRST: u64 = 478;
+
+    /// The power-cycle run's report from the eager engine.
+    const POWER_CYCLE_GOLDEN: &str = "measured_secs 2.0
+stream P-B P B 8 8 4.0 4.0 4096
+stream B-X B X 13 13 6.5 6.5 6656
+station B
+station P
+station X
+macstat 13 0 13 8 13 13 8 0 0 0 0 8 13 0
+macstat 8 0 8 0 8 8 0 0 0 0 0 0 8 0
+macstat 0 0 0 13 0 0 13 0 0 0 0 13 0 0
+mac_drops 0 0 0
+air 0.336 0.41475
+queue 130 129 0 5
+end
+";
+    /// Events of the power-cycle run; the eager engine dispatched 171.
+    const POWER_CYCLE_EVENTS: u64 = 150;
+
+    /// A parked deadline and an application arrival at the same instant,
+    /// with the timer's sort key before the arrival's: the arrival's
+    /// dispatch into X's MAC must first fire the parked expiry.
+    #[test]
+    fn parked_expiry_tied_with_a_later_keyed_arrival_fires_first() {
+        let (sc, x, xs) = bystander_cell();
+        let mut net = sc.build().unwrap();
+        let (_, (deadline, key)) = first_undisturbed_parked(&mut net, x);
+        // Keys grow with allocation order, so the arrival queued now sorts
+        // after the already-armed timer at the shared instant.
+        assert!(key < net.queue.alloc_key(PRIO_TIMER));
+        inject_arrival(&mut net, deadline, xs);
+        let end = at_ms(RUN_END_MS);
+        net.run_until(end).unwrap();
+        let report = net.report(end);
+        assert_eq!(without_events(&report.to_cache_text()), TIE_GOLDEN);
+        assert_eq!(report.events_processed, TIE_EVENTS_TIMER_FIRST);
+    }
+
+    /// The same tie with the arrival keyed first: the arrival queues X's
+    /// packet while X still defers, which unparks the expiry, and the
+    /// expiry then fires as an ordinary timer event at the same instant.
+    #[test]
+    fn parked_expiry_tied_with_an_earlier_keyed_arrival_fires_after_it() {
+        let (sc, x, xs) = bystander_cell();
+        let (found_at, (deadline, _)) = {
+            let mut probe = bystander_cell().0.build().unwrap();
+            first_undisturbed_parked(&mut probe, x)
+        };
+        let mut net = sc.build().unwrap();
+        inject_arrival(&mut net, deadline, xs);
+        net.run_until(found_at).unwrap();
+        let (d, _) = parked(&net, x).expect("X defers with nothing queued");
+        assert_eq!(
+            d, deadline,
+            "the injected arrival changed nothing before the tie"
+        );
+        let end = at_ms(RUN_END_MS);
+        net.run_until(end).unwrap();
+        let report = net.report(end);
+        assert_eq!(without_events(&report.to_cache_text()), TIE_GOLDEN);
+        assert_eq!(report.events_processed, TIE_EVENTS_ARRIVAL_FIRST);
+    }
+
+    /// A station whose parked deferral expired before a power-off must
+    /// come back idle: powered on again, it answers an RTS with a CTS. (Had
+    /// the power-off cleared the parked timer unfired, the station would
+    /// sit in QUIET with no timer and never answer.)
+    #[test]
+    fn power_cycle_after_a_passed_parked_deadline_leaves_the_station_idle() {
+        let mut sc = Scenario::new(9);
+        let b = sc.add_station("B", Point::new(0.0, 0.0, 6.0), MacKind::Macaw);
+        let p = sc.add_station("P", Point::new(3.0, 0.0, 0.0), MacKind::Macaw);
+        let x = sc.add_station("X", Point::new(-3.0, 0.0, 0.0), MacKind::Macaw);
+        for (name, src, dst, start, stop) in [
+            ("P-B", p, b, 0, Some(at_ms(500))),
+            ("B-X", b, x, 1200, None),
+        ] {
+            sc.add_stream(StreamSpec {
+                name: name.into(),
+                src,
+                dst: Dest::Station(dst),
+                transport: TransportKind::Udp,
+                source: SourceKind::Cbr { pps: 16 },
+                bytes: 512,
+                start: at_ms(start),
+                stop,
+            });
+        }
+        sc.power_off_at(at_ms(1000), x).power_on_at(at_ms(1100), x);
+        let mut net = sc.build().unwrap();
+        net.run_until(at_ms(999)).unwrap();
+        let (deadline, _) = parked(&net, x).expect("X's last deferral expiry is parked");
+        assert!(
+            deadline < at_ms(999),
+            "the parked deadline passed before the power-off"
+        );
+        let end = at_ms(RUN_END_MS);
+        net.run_until(end).unwrap();
+        let report = net.report(end);
+        assert!(
+            report.mac_stats[x].unwrap().cts_sent > 0,
+            "X answers B's RTS"
+        );
+        assert_eq!(without_events(&report.to_cache_text()), POWER_CYCLE_GOLDEN);
+        assert_eq!(report.events_processed, POWER_CYCLE_EVENTS);
     }
 
     #[test]

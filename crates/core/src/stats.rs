@@ -49,8 +49,11 @@ pub struct RunReport {
     pub data_air_secs: f64,
     /// Seconds of post-warm-up air time occupied by all frames.
     pub total_air_secs: f64,
-    /// Total simulation events processed over the whole run (including
+    /// Total simulation events dispatched over the whole run (including
     /// warm-up) — the numerator of engine events-per-second throughput.
+    /// Queue pops plus dispatched timers; a deferral expiry at a station
+    /// with nothing to send is parked, not dispatched, and not counted (see
+    /// `Network::events_processed`).
     pub events_processed: u64,
     /// Future-event-list operation counters (schedules, pops,
     /// cancellations, live-depth high-water mark). Pure functions of the
@@ -178,8 +181,10 @@ fn unesc(s: &str) -> String {
 
 /// The cache text format version. Bump when the format (or the set of
 /// fields in [`RunReport`]) changes, so stale cache entries from an older
-/// build parse-fail into a miss instead of deserializing garbage.
-const CACHE_FORMAT: &str = "macaw-runreport v3";
+/// build parse-fail into a miss instead of deserializing garbage. v4: the
+/// `events` line no longer counts silent deferral expiries (parked MAC
+/// timers), so a v3 entry's event count would be stale.
+const CACHE_FORMAT: &str = "macaw-runreport v4";
 
 impl RunReport {
     /// Serialize for the fingerprint-keyed run cache: a line-oriented text
@@ -474,7 +479,7 @@ mod tests {
         let truncated = full.trim_end_matches("end\n");
         assert!(RunReport::from_cache_text(truncated).is_err());
         // A stale-format header must parse-fail into a miss.
-        let wrong_version = full.replacen("v3", "v1", 1);
+        let wrong_version = full.replacen("v4", "v1", 1);
         assert!(RunReport::from_cache_text(&wrong_version).is_err());
     }
 

@@ -227,6 +227,16 @@ pub trait MacProtocol {
     /// Packets currently queued (all streams).
     fn queued_packets(&self) -> usize;
 
+    /// `true` iff firing the pending timer now would only return the
+    /// machine to idle: no frame, no RNG draw, no new timer, no upcall and
+    /// no counter change. An environment may then park the timer instead
+    /// of dispatching it, and fire it late — just before the machine's next
+    /// transition — because nothing can observe the difference. Must
+    /// depend only on the machine's own state. The default never parks.
+    fn timer_is_silent(&self) -> bool {
+        false
+    }
+
     /// Power-cycle the station: abandon any exchange in progress and return
     /// to the idle state with backoff at its minimum, as a freshly booted
     /// station would. With `preserve_queues` the queued packets survive the

@@ -973,6 +973,15 @@ impl MacProtocol for WMac {
         self.slots.iter().map(|s| s.q.len()).sum()
     }
 
+    /// A `Quiet` expiry with nothing queued and no RRTS owed sets `Idle`,
+    /// and `maybe_contend` then finds no candidate: it draws nothing and
+    /// arms nothing.
+    fn timer_is_silent(&self) -> bool {
+        matches!(self.state, State::Quiet { .. })
+            && self.rrts_pending.is_none()
+            && self.slots.iter().all(|s| s.q.is_empty())
+    }
+
     fn mac_stats(&self) -> Option<&MacStats> {
         Some(&self.stats)
     }
@@ -1066,24 +1075,21 @@ impl MacSnapshot for WMac {
     fn relabel(snap: &WMacSnapshot, map: &Relabeling<'_>) -> WMacSnapshot {
         // Slot order is arrival order, which is not permutation-stable (two
         // symmetric stations may have created their per-stream slots in
-        // different orders), so relabeled slots are re-sorted by key and
-        // `current` follows its slot to the new position. The explorer
-        // relabels *every* orbit candidate, identity permutation included,
-        // so the sort applies uniformly and comparisons stay consistent.
-        let mut slots: Vec<(QueueSlot, bool)> = snap
+        // different orders), so relabeled slots are re-sorted by key, and
+        // `current` and a contention target follow their slots to the new
+        // positions. The explorer relabels *every* orbit candidate,
+        // identity permutation included, so the sort applies uniformly and
+        // comparisons stay consistent.
+        let mut slots: Vec<QueueSlot> = snap
             .slots
             .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let mapped = QueueSlot {
-                    key: relabel_key(s.key, map),
-                    q: s.q.iter().map(|p| relabel_packet(p, map)).collect(),
-                };
-                (mapped, snap.current == Some(i))
+            .map(|s| QueueSlot {
+                key: relabel_key(s.key, map),
+                q: s.q.iter().map(|p| relabel_packet(p, map)).collect(),
             })
             .collect();
-        slots.sort_by_key(|(s, _)| s.key);
-        let current = slots.iter().position(|(_, cur)| *cur);
+        slots.sort_by_key(|s| s.key);
+        let sorted = |i| sorted_slot(&snap.slots, map, i);
         let mut acked: Vec<(usize, VecDeque<u64>)> = snap
             .acked
             .iter()
@@ -1091,10 +1097,10 @@ impl MacSnapshot for WMac {
             .collect();
         acked.sort_by_key(|(peer, _)| *peer);
         WMacSnapshot {
-            state: relabel_state(snap.state, map),
-            current,
+            state: relabel_state(snap.state, map, sorted),
+            current: snap.current.map(sorted),
             rrts_pending: snap.rrts_pending.map(|a| map.addr(a)),
-            slots: slots.into_iter().map(|(s, _)| s).collect(),
+            slots,
             acked,
             nack_cache: snap.nack_cache.as_ref().map(|p| relabel_packet(p, map)),
             groups: snap.groups.clone(),
@@ -1106,7 +1112,8 @@ impl MacSnapshot for WMac {
     /// the fly and walking the re-sorted tables through their stable sort
     /// order: no allocation.
     fn cmp_relabeled(snap: &WMacSnapshot, map: &Relabeling<'_>, other: &WMacSnapshot) -> Ordering {
-        let ord = relabel_state(snap.state, map).cmp(&other.state);
+        let ord =
+            relabel_state(snap.state, map, |i| sorted_slot(&snap.slots, map, i)).cmp(&other.state);
         if ord != Ordering::Equal {
             return ord;
         }
@@ -1215,7 +1222,23 @@ fn relabel_key(key: Option<(Addr, StreamId)>, map: &Relabeling<'_>) -> Option<(A
     key.map(|(a, st)| (map.addr(a), map.stream_id(st)))
 }
 
-fn relabel_state(state: State, map: &Relabeling<'_>) -> State {
+/// The position a stable sort of `slots` by relabeled key moves slot `i`
+/// to: the number of slots ordered before it.
+fn sorted_slot(slots: &[QueueSlot], map: &Relabeling<'_>, i: usize) -> usize {
+    let key = relabel_key(slots[i].key, map);
+    slots
+        .iter()
+        .enumerate()
+        .filter(|&(j, s)| {
+            let k = relabel_key(s.key, map);
+            k < key || (k == key && j < i)
+        })
+        .count()
+}
+
+/// Relabel the addresses inside a protocol state; `slot` maps a queue slot
+/// index to its position among the re-sorted relabeled slots.
+fn relabel_state(state: State, map: &Relabeling<'_>, slot: impl Fn(usize) -> usize) -> State {
     match state {
         State::Contend {
             what: ContendFor::Rrts { peer },
@@ -1223,6 +1246,11 @@ fn relabel_state(state: State, map: &Relabeling<'_>) -> State {
             what: ContendFor::Rrts {
                 peer: map.addr(peer),
             },
+        },
+        State::Contend {
+            what: ContendFor::Data { slot: i },
+        } => State::Contend {
+            what: ContendFor::Data { slot: slot(i) },
         },
         State::SendCts { peer, bytes, esn } => State::SendCts {
             peer: map.addr(peer),
@@ -1828,6 +1856,11 @@ mod tests {
             what: ContendFor::Rrts { peer: B },
         };
         snaps.push(s);
+        let mut s = snaps[0].clone();
+        s.state = State::Contend {
+            what: ContendFor::Data { slot: 1 },
+        };
+        snaps.push(s);
 
         let stations: [&[usize]; 3] = [&[0, 1, 2, 3], &[0, 3, 2, 1], &[2, 3, 0, 1]];
         let streams: [&[u32]; 2] = [&[0, 1, 2, 3, 4, 5, 6], &[6, 5, 4, 3, 2, 1, 0]];
@@ -1847,6 +1880,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Canonicalization must keep track of *which* queue a contention timer
+    /// serves. Two stations holding the same queues in opposite arrival
+    /// order re-sort to the same slot table, so a contention target kept as
+    /// an arrival index would make "contending for B's queue" and
+    /// "contending for C's queue" collide.
+    #[test]
+    fn contention_slot_follows_its_queue_through_the_key_sort() {
+        let contending = |order: [Addr; 2], target: Addr| {
+            let mut mac = WMac::new(A, MacConfig::macaw());
+            let mut ctx = ScriptedContext::new(43);
+            for dst in order {
+                mac.enqueue(&mut ctx, dst, sdu(512, 1)).unwrap();
+            }
+            let slot = order.iter().position(|&d| d == target).unwrap();
+            mac.state = State::Contend {
+                what: ContendFor::Data { slot },
+            };
+            mac.snapshot(ctx.now())
+        };
+        // C's queue was created first: the slots are out of key order.
+        let c_first_for_c = contending([C, B], C);
+        let b_first_for_b = contending([B, C], B);
+        let b_first_for_c = contending([B, C], C);
+        assert_eq!(
+            c_first_for_c.state, b_first_for_b.state,
+            "same arrival index, different queues"
+        );
+
+        let identity = Relabeling {
+            station: &[],
+            stream: &[],
+        };
+        let canon = |s: &WMacSnapshot| WMac::relabel(s, &identity);
+        assert_ne!(canon(&c_first_for_c), canon(&b_first_for_b));
+        assert_ne!(
+            WMac::cmp_relabeled(&c_first_for_c, &identity, &canon(&b_first_for_b)),
+            Ordering::Equal
+        );
+        // The same queue reached through either arrival order is one state.
+        assert_eq!(canon(&c_first_for_c), canon(&b_first_for_c));
+        assert_eq!(
+            WMac::cmp_relabeled(&c_first_for_c, &identity, &canon(&b_first_for_c)),
+            Ordering::Equal
+        );
     }
 
     #[test]

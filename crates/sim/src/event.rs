@@ -167,7 +167,11 @@ impl<E> Default for HeapQueue<E> {
 impl<E> Fel<E> for HeapQueue<E> {
     #[inline]
     fn push(&mut self, time: SimTime, pseq: u64, payload: E) {
-        self.heap.push(Entry { time, pseq, payload });
+        self.heap.push(Entry {
+            time,
+            pseq,
+            payload,
+        });
     }
 
     #[inline]
@@ -454,7 +458,8 @@ impl<E> LadderQueue<E> {
                 std::mem::swap(&mut self.current, &mut self.ring[b]);
                 self.occ[b / 64] &= !(1u64 << (b % 64));
                 self.ring_len -= self.current.len();
-                self.current.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+                self.current
+                    .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
                 if self.current.len() > LADDER_SPLIT_OCCUPANCY && self.lg > LADDER_LG_MIN {
                     self.rebuild(self.lg - 1);
                 }
@@ -491,7 +496,11 @@ impl<E> LadderQueue<E> {
 
 impl<E> Fel<E> for LadderQueue<E> {
     fn push(&mut self, time: SimTime, pseq: u64, payload: E) {
-        let e = Entry { time, pseq, payload };
+        let e = Entry {
+            time,
+            pseq,
+            payload,
+        };
         if let Some(samples) = self.boot.as_mut() {
             samples.push(e.time.as_nanos().saturating_sub(self.last_pop));
             let full = samples.len() >= LADDER_BOOT_SAMPLES;
@@ -595,7 +604,9 @@ pub struct QueueStats {
 pub enum NextFire<E> {
     /// The queue head fired: it sorted before the external candidate and
     /// at or before the horizon. The queue's "now" advanced to its time.
-    Queued(SimTime, E),
+    /// Carries the event's time, its sort key (comparable with
+    /// [`EventQueue::alloc_key`] keys) and its payload.
+    Queued(SimTime, u64, E),
     /// The external `(time, key)` candidate sorts first and is within the
     /// horizon: the queue advanced "now" to it, the caller fires it.
     External(SimTime),
@@ -835,7 +846,7 @@ impl<E: Eq, F: Fel<E>> EventQueue<E, F> {
             self.note_removed(time, pseq);
             self.watermark = time;
             self.stats.popped += 1;
-            NextFire::Queued(time, payload)
+            NextFire::Queued(time, pseq, payload)
         } else {
             let (time, _) = external.expect("external winner without candidate");
             if time > horizon {
@@ -1128,13 +1139,19 @@ mod tests {
     #[test]
     fn pop_next_prefers_earlier_side() {
         let mut q = EventQueue::<&str>::new();
-        q.schedule(t(10), "queued");
+        let queued = q.schedule(t(10), "queued");
         let k = q.alloc_key(EventQueue::<&str>::DEFAULT_PRIORITY);
         // External at t=5 beats the queued t=10 event.
-        assert_eq!(q.pop_next(Some((t(5), k)), t(100)), NextFire::External(t(5)));
+        assert_eq!(
+            q.pop_next(Some((t(5), k)), t(100)),
+            NextFire::External(t(5))
+        );
         assert_eq!(q.now(), t(5));
-        // With the external consumed, the queued event fires.
-        assert_eq!(q.pop_next(None, t(100)), NextFire::Queued(t(10), "queued"));
+        // With the external consumed, the queued event fires with its key.
+        assert_eq!(
+            q.pop_next(None, t(100)),
+            NextFire::Queued(t(10), queued.pseq, "queued")
+        );
         assert_eq!(q.now(), t(10));
         assert_eq!(q.pop_next(None, t(100)), NextFire::Idle);
     }
@@ -1142,32 +1159,48 @@ mod tests {
     #[test]
     fn pop_next_same_instant_orders_by_key() {
         let mut q = EventQueue::<&str>::new();
-        q.schedule(t(5), "first");
+        let first = q.schedule(t(5), "first");
         let external = q.alloc_key(EventQueue::<&str>::DEFAULT_PRIORITY);
-        q.schedule(t(5), "third");
-        assert_eq!(q.pop_next(Some((t(5), external)), t(100)), NextFire::Queued(t(5), "first"));
-        assert_eq!(q.pop_next(Some((t(5), external)), t(100)), NextFire::External(t(5)));
-        assert_eq!(q.pop_next(None, t(100)), NextFire::Queued(t(5), "third"));
+        let third = q.schedule(t(5), "third");
+        assert!(first.pseq < external && external < third.pseq);
+        assert_eq!(
+            q.pop_next(Some((t(5), external)), t(100)),
+            NextFire::Queued(t(5), first.pseq, "first")
+        );
+        assert_eq!(
+            q.pop_next(Some((t(5), external)), t(100)),
+            NextFire::External(t(5))
+        );
+        assert_eq!(
+            q.pop_next(None, t(100)),
+            NextFire::Queued(t(5), third.pseq, "third")
+        );
     }
 
     #[test]
     fn pop_next_respects_horizon() {
         let mut q = EventQueue::<&str>::new();
-        q.schedule(t(50), "late");
+        let late = q.schedule(t(50), "late");
         assert_eq!(q.pop_next(None, t(10)), NextFire::Idle);
         assert_eq!(q.len(), 1, "beyond-horizon event stays queued");
         let k = q.alloc_key(EventQueue::<&str>::DEFAULT_PRIORITY);
         assert_eq!(q.pop_next(Some((t(40), k)), t(10)), NextFire::Idle);
-        assert_eq!(q.pop_next(None, t(50)), NextFire::Queued(t(50), "late"));
+        assert_eq!(
+            q.pop_next(None, t(50)),
+            NextFire::Queued(t(50), late.pseq, "late")
+        );
     }
 
     #[test]
     fn pop_next_drains_cancelled_heads() {
         let mut q = EventQueue::<&str>::new();
         let a = q.schedule(t(1), "a");
-        q.schedule(t(2), "b");
+        let b = q.schedule(t(2), "b");
         q.cancel(a);
-        assert_eq!(q.pop_next(None, t(100)), NextFire::Queued(t(2), "b"));
+        assert_eq!(
+            q.pop_next(None, t(100)),
+            NextFire::Queued(t(2), b.pseq, "b")
+        );
     }
 
     #[test]
@@ -1198,7 +1231,11 @@ mod tests {
         let mut q = EventQueue::<u64>::new();
         let mut expect: Vec<(u64, u64)> = Vec::new();
         for i in 0..500u64 {
-            let ns = if i % 7 == 0 { i * 1_000_000_000 } else { i * 900 + 1 };
+            let ns = if i % 7 == 0 {
+                i * 1_000_000_000
+            } else {
+                i * 900 + 1
+            };
             q.schedule(SimTime::from_nanos(ns), i);
             expect.push((ns, i));
         }

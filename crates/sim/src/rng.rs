@@ -60,10 +60,7 @@ impl SimRng {
     /// The next raw 64-bit draw (xoshiro256++).
     fn next_u64(&mut self) -> u64 {
         let [s0, s1, s2, s3] = self.state;
-        let result = s0
-            .wrapping_add(s3)
-            .rotate_left(23)
-            .wrapping_add(s0);
+        let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
         let t = s1 << 17;
         let mut s2 = s2 ^ s0;
         let mut s3 = s3 ^ s1;
@@ -136,7 +133,10 @@ impl SimRng {
     /// Exponentially distributed value with the given mean (for Poisson
     /// inter-arrival times). Mean must be positive and finite.
     pub fn exponential(&mut self, mean: f64) -> f64 {
-        assert!(mean > 0.0 && mean.is_finite(), "exponential: bad mean {mean}");
+        assert!(
+            mean > 0.0 && mean.is_finite(),
+            "exponential: bad mean {mean}"
+        );
         // Inverse-CDF sampling; guard the log argument away from zero.
         let u = 1.0 - self.uniform_f64();
         -mean * u.ln()
@@ -192,7 +192,10 @@ mod tests {
         let mut fa = a.fork(3);
         let mut fb = b.fork(3);
         for _ in 0..100 {
-            assert_eq!(fa.uniform_inclusive(0, 1 << 40), fb.uniform_inclusive(0, 1 << 40));
+            assert_eq!(
+                fa.uniform_inclusive(0, 1 << 40),
+                fb.uniform_inclusive(0, 1 << 40)
+            );
         }
     }
 
@@ -218,7 +221,10 @@ mod tests {
             let mut via_fork = root.fork(label);
             let mut via_seed = SimRng::new(root.stream_seed(label));
             for _ in 0..50 {
-                assert_eq!(via_fork.uniform_inclusive(0, u64::MAX), via_seed.uniform_inclusive(0, u64::MAX));
+                assert_eq!(
+                    via_fork.uniform_inclusive(0, u64::MAX),
+                    via_seed.uniform_inclusive(0, u64::MAX)
+                );
             }
         }
     }

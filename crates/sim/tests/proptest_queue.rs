@@ -99,9 +99,9 @@ proptest! {
 fn delay(raw: u64) -> SimDuration {
     SimDuration::from_nanos(match raw % 8 {
         0 | 1 => 0,
-        2 | 3 => raw % 64,                  // sub-bucket jitter
-        4 | 5 => (raw >> 3) % 100_000,      // typical MAC horizon (µs scale)
-        _ => (raw >> 3) % 10_000_000_000,   // pathological far future
+        2 | 3 => raw % 64,                // sub-bucket jitter
+        4 | 5 => (raw >> 3) % 100_000,    // typical MAC horizon (µs scale)
+        _ => (raw >> 3) % 10_000_000_000, // pathological far future
     })
 }
 

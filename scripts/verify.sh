@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: offline release build, lint wall, rustfmt on the
-# model checker, full test suite, perfbench's own tests,
+# model checker and the event engine, full test suite, perfbench's own tests,
 # the `macaw-bench tables --quick` golden diff, and smoke runs of the
 # `macaw-bench` subcommands. Exits non-zero if anything fails to build,
 # clippy reports any warning, any test fails, the tables drift by a byte
@@ -16,8 +16,9 @@ cargo build --release --workspace
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== rustfmt (model checker) =="
+echo "== rustfmt (model checker, event engine) =="
 cargo fmt --check -p macaw-check
+cargo fmt --check -p macaw-sim
 
 echo "== tests =="
 cargo test -q --workspace
