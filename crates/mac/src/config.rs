@@ -230,8 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn defer_after_cts_covers_data_only_for_maca()
-    {
+    fn defer_after_cts_covers_data_only_for_maca() {
         let c = MacConfig::maca();
         assert_eq!(
             c.defer_after_cts(512),

@@ -161,11 +161,20 @@ pub trait MacContext {
 pub enum MacFeedback {
     /// A queued packet completed its exchange (ACK received, or transmission
     /// finished when the protocol has no link ACK).
-    Sent { stream: StreamId, transport_seq: u64 },
+    Sent {
+        stream: StreamId,
+        transport_seq: u64,
+    },
     /// A queued packet was discarded after exhausting its retries.
-    Dropped { stream: StreamId, transport_seq: u64 },
+    Dropped {
+        stream: StreamId,
+        transport_seq: u64,
+    },
     /// A packet was rejected at enqueue time (queue full).
-    Refused { stream: StreamId, transport_seq: u64 },
+    Refused {
+        stream: StreamId,
+        transport_seq: u64,
+    },
 }
 
 /// A broken internal invariant inside a MAC state machine — e.g. a timer

@@ -287,8 +287,8 @@ impl MacSnapshot for Csma {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::ScriptedContext;
     use crate::frames::StreamId;
+    use crate::harness::ScriptedContext;
 
     const A: Addr = Addr::Unicast(0);
     const B: Addr = Addr::Unicast(1);
@@ -318,7 +318,10 @@ mod tests {
         let mut ctx = ScriptedContext::new(2);
         ctx.carrier = true;
         mac.enqueue(&mut ctx, B, sdu(1)).unwrap();
-        assert!(ctx.transmitted().is_empty(), "must not transmit into carrier");
+        assert!(
+            ctx.transmitted().is_empty(),
+            "must not transmit into carrier"
+        );
         assert!(ctx.timer.is_some(), "backoff timer armed");
         // Carrier clears; the retry goes out.
         ctx.carrier = false;
@@ -403,7 +406,10 @@ mod tests {
         mac.enqueue(&mut ctx, B, sdu(2)).unwrap();
         assert!(matches!(
             ctx.feedback_events().last(),
-            Some(MacFeedback::Refused { transport_seq: 2, .. })
+            Some(MacFeedback::Refused {
+                transport_seq: 2,
+                ..
+            })
         ));
     }
 }

@@ -178,7 +178,10 @@ mod tests {
         let mut ctx = ScriptedContext::new(1);
         ctx.set_timer(SimDuration::from_micros(10));
         ctx.set_timer(SimDuration::from_micros(20)); // re-arm overwrites
-        assert_eq!(ctx.timer, Some(SimTime::ZERO + SimDuration::from_micros(20)));
+        assert_eq!(
+            ctx.timer,
+            Some(SimTime::ZERO + SimDuration::from_micros(20))
+        );
         assert_eq!(ctx.timer_sets, 2);
         ctx.clear_timer();
         ctx.clear_timer(); // clearing an unarmed timer still counts the call

@@ -23,16 +23,15 @@ pub mod backoff;
 pub mod config;
 pub mod context;
 pub mod csma;
-pub mod harness;
 pub mod frames;
+pub mod harness;
 pub mod oracle;
 pub mod wmac;
 
 pub use backoff::{Backoff, BackoffAlgo, BackoffSharing, BackoffSnapshot};
 pub use config::{MacConfig, QueueMode};
 pub use context::{
-    MacContext, MacFeedback, MacInvariantViolation, MacProtocol, MacResult, MacSnapshot,
-    Relabeling,
+    MacContext, MacFeedback, MacInvariantViolation, MacProtocol, MacResult, MacSnapshot, Relabeling,
 };
 pub use csma::{Csma, CsmaConfig, CsmaSnapshot};
 pub use frames::{Addr, BackoffHeader, Frame, FrameKind, MacSdu, StreamId, Timing};

@@ -188,21 +188,33 @@ mod tests {
     #[test]
     fn step_returns_only_the_transition_effects() {
         let mut o = Oracle::new(WMac::new(A, MacConfig::macaw()), 7);
-        let obs = o.step(Stimulus::Enqueue { dst: B, sdu: sdu(1) }).unwrap();
+        let obs = o
+            .step(Stimulus::Enqueue {
+                dst: B,
+                sdu: sdu(1),
+            })
+            .unwrap();
         assert!(obs.actions.is_empty(), "enqueue only arms contention");
         assert!(obs.timer.is_some(), "contention timer armed");
         let obs = o.step(Stimulus::Timer).unwrap();
         assert_eq!(obs.actions.len(), 1, "exactly this step's RTS");
         assert!(matches!(
             obs.actions[0],
-            Action::Transmit(Frame { kind: FrameKind::Rts, .. })
+            Action::Transmit(Frame {
+                kind: FrameKind::Rts,
+                ..
+            })
         ));
     }
 
     #[test]
     fn timer_step_advances_to_the_deadline() {
         let mut o = Oracle::new(WMac::new(A, MacConfig::macaw()), 8);
-        o.step(Stimulus::Enqueue { dst: B, sdu: sdu(1) }).unwrap();
+        o.step(Stimulus::Enqueue {
+            dst: B,
+            sdu: sdu(1),
+        })
+        .unwrap();
         let deadline = o.timer_deadline().unwrap();
         o.step(Stimulus::Timer).unwrap();
         assert_eq!(o.now(), deadline);
@@ -211,7 +223,11 @@ mod tests {
     #[test]
     fn forked_oracles_diverge_independently() {
         let mut a = Oracle::new(WMac::new(A, MacConfig::macaw()), 9);
-        a.step(Stimulus::Enqueue { dst: B, sdu: sdu(1) }).unwrap();
+        a.step(Stimulus::Enqueue {
+            dst: B,
+            sdu: sdu(1),
+        })
+        .unwrap();
         let mut b = a.clone();
         // Branch: copy `a` fires its contention; copy `b` hears a foreign
         // CTS first and defers.
@@ -228,10 +244,16 @@ mod tests {
             .unwrap();
         assert!(matches!(
             obs_a.actions[..],
-            [Action::Transmit(Frame { kind: FrameKind::Rts, .. })]
+            [Action::Transmit(Frame {
+                kind: FrameKind::Rts,
+                ..
+            })]
         ));
         assert!(obs_b.actions.is_empty(), "deferral transmits nothing");
-        assert!(b.timer_deadline().unwrap() > a.now(), "b defers past a's fire");
+        assert!(
+            b.timer_deadline().unwrap() > a.now(),
+            "b defers past a's fire"
+        );
     }
 
     #[test]

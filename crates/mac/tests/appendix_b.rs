@@ -15,11 +15,11 @@
 //!    sender, survive quiet-period extensions, and contend with an RRTS on
 //!    the sender's behalf once the channel frees.
 
+use macaw_mac::harness::Action;
 use macaw_mac::{
     Addr, BackoffHeader, Frame, FrameKind, MacConfig, MacSdu, MacSnapshot, Oracle, StepObs,
     Stimulus, StreamId, WMac,
 };
-use macaw_mac::harness::Action;
 
 const A: Addr = Addr::Unicast(0);
 const B: Addr = Addr::Unicast(1);
@@ -64,14 +64,23 @@ fn sole_tx(obs: &StepObs) -> Frame {
             _ => None,
         })
         .collect();
-    assert_eq!(txs.len(), 1, "expected exactly one transmission: {:?}", obs.actions);
+    assert_eq!(
+        txs.len(),
+        1,
+        "expected exactly one transmission: {:?}",
+        obs.actions
+    );
     txs[0]
 }
 
 #[test]
 fn late_cts_after_contention_restart_is_ignored_and_esn_is_reused() {
     let mut a = Oracle::new(WMac::new(A, MacConfig::macaw()), 21);
-    a.step(Stimulus::Enqueue { dst: B, sdu: sdu(1) }).unwrap();
+    a.step(Stimulus::Enqueue {
+        dst: B,
+        sdu: sdu(1),
+    })
+    .unwrap();
     assert_eq!(a.mac().state_kind(), "Contend");
 
     let rts1 = sole_tx(&a.step(Stimulus::Timer).unwrap());
@@ -89,9 +98,17 @@ fn late_cts_after_contention_restart_is_ignored_and_esn_is_reused() {
 
     // Now B's CTS for the timed-out attempt finally lands — the DS race.
     let obs = a
-        .step(Stimulus::Receive(frame(FrameKind::Cts, B, A, rts1.backoff.esn)))
+        .step(Stimulus::Receive(frame(
+            FrameKind::Cts,
+            B,
+            A,
+            rts1.backoff.esn,
+        )))
         .unwrap();
-    assert!(obs.actions.is_empty(), "a late CTS must not trigger DS/DATA");
+    assert!(
+        obs.actions.is_empty(),
+        "a late CTS must not trigger DS/DATA"
+    );
     assert_eq!(a.mac().state_kind(), "Contend", "contention undisturbed");
     assert_eq!(
         a.timer_deadline(),
@@ -109,8 +126,13 @@ fn late_cts_after_contention_restart_is_ignored_and_esn_is_reused() {
     a.step(Stimulus::TxEnd).unwrap();
     assert_eq!(a.mac().state_kind(), "WfCts");
     let ds = sole_tx(
-        &a.step(Stimulus::Receive(frame(FrameKind::Cts, B, A, rts2.backoff.esn)))
-            .unwrap(),
+        &a.step(Stimulus::Receive(frame(
+            FrameKind::Cts,
+            B,
+            A,
+            rts2.backoff.esn,
+        )))
+        .unwrap(),
     );
     assert_eq!(ds.kind, FrameKind::Ds);
     assert_eq!(a.mac().state_kind(), "SendDs");
@@ -145,12 +167,18 @@ fn rrts_rescues_a_sender_starved_by_a_backlogged_neighbor() {
     assert!(obs.actions.is_empty());
     assert_eq!(b.mac().state_kind(), "Quiet");
     let quiet2 = b.timer_deadline().expect("quiet timer still armed");
-    assert!(quiet2 > quiet1, "further control traffic extends the deferral");
+    assert!(
+        quiet2 > quiet1,
+        "further control traffic extends the deferral"
+    );
 
     // The neighbor finally goes idle: quiet expires and B contends — not
     // for its own (empty) queue but on A's behalf.
     let obs = b.step(Stimulus::Timer).unwrap();
-    assert!(obs.actions.is_empty(), "quiet expiry only starts contention");
+    assert!(
+        obs.actions.is_empty(),
+        "quiet expiry only starts contention"
+    );
     assert_eq!(b.mac().state_kind(), "Contend");
     assert!(b.timer_deadline().is_some(), "contention timer armed");
 
