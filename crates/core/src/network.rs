@@ -22,13 +22,15 @@
 //! ([`MacProtocol::timer_is_silent`]). Such a timer is *parked*: it keeps
 //! its `(deadline, sort key)` in the slot but stays out of the run loop's
 //! timer index, so it is never dispatched as an event. Nothing can observe
-//! the station until the next call into its MAC, so just before that call
-//! (and before a power-off or crash clears the slot) a parked timer that
-//! sorts before the event being dispatched is fired first — the same
+//! the station until the next call into its MAC, so that call first fires a
+//! parked timer that sorts before the event being dispatched — the same
 //! transition the eager engine made earlier, with nothing watching in
-//! between. Catch-up fires are not events: `events_processed`, the
-//! livelock and watchdog guards and [`TraceEvent::MacTimer`] see only
-//! dispatched events, while every other report field is unchanged.
+//! between. The catch-up runs inside the dispatching call, through the
+//! same MAC borrow and context, just before the dispatched handler; a
+//! power-off or crash makes the same catch-up before it clears the slot.
+//! Catch-up fires are not events: `events_processed`, the livelock and
+//! watchdog guards and [`TraceEvent::MacTimer`] see only dispatched
+//! events, while every other report field is unchanged.
 //!
 //! End-of-transmission events carry a lower same-instant priority value
 //! than timers, so a station whose contention slot lands exactly where an
@@ -41,7 +43,9 @@
 //! which re-enters the very MAC that is currently borrowed. All such
 //! upcalls are therefore buffered as `Effect`s and drained iteratively
 //! after each event handler returns; nothing ever re-enters a borrowed
-//! state machine.
+//! state machine. The MACs live in their own vector, so a call borrows
+//! one MAC beside the context's fields and the compiler checks that
+//! nothing else reaches it meanwhile.
 
 use std::collections::VecDeque;
 
@@ -361,7 +365,6 @@ pub(crate) struct ScheduledAction {
 
 struct StationSlot {
     name: String,
-    mac: Option<Box<dyn MacProtocol>>,
     rng: SimRng,
     /// The in-flight own transmission, if any.
     tx: Option<(TxId, Frame)>,
@@ -416,6 +419,9 @@ pub struct Network<M: Medium = SparseMedium, Q: FelChoice = LadderFel> {
     queue: EventQueue<Event, Q::Fel<Event>>,
     timing: Timing,
     stations: Vec<StationSlot>,
+    /// Each station's MAC, apart from [`StationSlot`] so a call into one
+    /// borrows it beside the station's other fields.
+    macs: Vec<Box<dyn MacProtocol>>,
     streams: Vec<StreamState>,
     /// Stream id → index into `streams`, built as streams are declared.
     /// Delivery and drop feedback resolve their stream through this map
@@ -492,6 +498,7 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             queue: EventQueue::new(),
             timing,
             stations: Vec::new(),
+            macs: Vec::new(),
             streams: Vec::new(),
             stream_index: FastHashMap::default(),
             mac_timers: Vec::new(),
@@ -546,13 +553,13 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
     ) -> usize {
         self.stations.push(StationSlot {
             name,
-            mac: Some(mac),
             rng,
             tx: None,
             on: true,
             epoch: 0,
             mac_drops: 0,
         });
+        self.macs.push(mac);
         self.mac_timers.push(NO_TIMER);
         self.timer_index.add_mac_slot();
         self.stations.len() - 1
@@ -832,8 +839,7 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
         let mut best = NO_TIMER;
         let mut slot = 0u32;
         for (i, &tk) in self.mac_timers.iter().enumerate() {
-            let mac = self.stations[i].mac.as_ref();
-            if tk < best && !mac.is_some_and(|m| m.timer_is_silent()) {
+            if tk < best && !self.macs[i].timer_is_silent() {
                 best = tk;
                 slot = i as u32;
             }
@@ -1051,9 +1057,7 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
                 }
                 self.mac_timers[station] = NO_TIMER;
                 self.timer_index.note_write(station as u32, NO_TIMER);
-                if let Some(mac) = self.stations[station].mac.as_mut() {
-                    mac.reset(preserve_queues);
-                }
+                self.macs[station].reset(preserve_queues);
             }
             ActionKind::Restart { station } => {
                 if !self.stations[station].on {
@@ -1073,77 +1077,63 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
     }
 
     // ------------------------------------------------------------------
-    // Borrow juggling: take the state machine out of its slot, build a
-    // context from the remaining disjoint fields, call, put back.
+    // Calls into state machines: build a context from the fields disjoint
+    // from the one being called, call, then account for what it did.
     // ------------------------------------------------------------------
 
-    /// Call into `station`'s MAC, first firing its parked timer if that
-    /// sorts before the event being dispatched.
+    /// Call into `station`'s MAC, then index its timer unless the MAC says
+    /// the timer is silent, in which case it stays parked in its slot.
+    ///
+    /// If the slot holds a parked timer whose deadline passed before the
+    /// event being dispatched, it fires first, through the same context, so
+    /// the MAC is in the state the eager engine would have left it in.
+    /// Every indexed timer sorts after the event being dispatched (it would
+    /// have been dispatched first otherwise), so a slot sorting before it
+    /// is necessarily parked.
     fn with_mac(
         &mut self,
         station: usize,
         f: impl FnOnce(&mut dyn MacProtocol, &mut CoreMacCtx<M, Q::Fel<Event>>) -> MacResult,
     ) -> Result<(), SimError> {
-        self.fire_passed_parked(station)?;
-        self.call_mac(station, f)
-    }
-
-    /// Fire `station`'s MAC timer now if it is parked and its deadline
-    /// passed before the event being dispatched, so the MAC is in the state
-    /// the eager engine would have left it in. Every indexed timer sorts
-    /// after the event being dispatched (it would have been dispatched
-    /// first otherwise), so a slot sorting before it is necessarily parked.
-    fn fire_passed_parked(&mut self, station: usize) -> Result<(), SimError> {
-        if self.mac_timers[station] >= self.dispatching {
-            return Ok(());
-        }
-        debug_assert!(
-            !self.timer_index.has_mac(station),
-            "a passed timer was indexed"
-        );
-        self.mac_timers[station] = NO_TIMER;
-        let effects = self.effects.len();
-        self.call_mac(station, |mac, ctx| mac.on_timer(ctx))?;
-        debug_assert!(
-            self.mac_timers[station] == NO_TIMER
-                && self.effects.len() == effects
-                && self.stations[station].tx.is_none(),
-            "a parked timer's expiry armed, sent or reported something"
-        );
-        Ok(())
-    }
-
-    /// Call into `station`'s MAC, then index its timer unless the MAC says
-    /// the timer is silent, in which case it stays parked in its slot.
-    fn call_mac(
-        &mut self,
-        station: usize,
-        f: impl FnOnce(&mut dyn MacProtocol, &mut CoreMacCtx<M, Q::Fel<Event>>) -> MacResult,
-    ) -> Result<(), SimError> {
-        let mut mac = self.stations[station]
-            .mac
-            .take()
-            .expect("MAC re-entered while borrowed");
         let now = self.queue.now();
-        let result = {
-            let slot = &mut self.stations[station];
-            let mut ctx = CoreMacCtx {
-                now,
-                station,
-                epoch: slot.epoch,
-                island: self.island_of_station[station],
-                timing: self.timing,
-                queue: &mut self.queue,
-                medium: &mut self.medium,
-                rng: &mut slot.rng,
-                mac_timer: &mut self.mac_timers[station],
-                tx: &mut slot.tx,
-                island_live: &mut self.island_live,
-                island_high: &mut self.island_high,
-                effects: &mut self.effects,
-            };
-            f(mac.as_mut(), &mut ctx)
+        let mac = self.macs[station].as_mut();
+        let slot = &mut self.stations[station];
+        let catch_up = self.mac_timers[station] < self.dispatching;
+        let mut ctx = CoreMacCtx {
+            now,
+            station,
+            epoch: slot.epoch,
+            island: self.island_of_station[station],
+            timing: self.timing,
+            queue: &mut self.queue,
+            medium: &mut self.medium,
+            rng: &mut slot.rng,
+            mac_timer: &mut self.mac_timers[station],
+            tx: &mut slot.tx,
+            island_live: &mut self.island_live,
+            island_high: &mut self.island_high,
+            effects: &mut self.effects,
         };
+        let mut result = Ok(());
+        if catch_up {
+            debug_assert!(
+                !self.timer_index.has_mac(station),
+                "a passed timer was indexed"
+            );
+            *ctx.mac_timer = NO_TIMER;
+            let effects = ctx.effects.len();
+            result = mac.on_timer(&mut ctx);
+            debug_assert!(
+                result.is_err()
+                    || (*ctx.mac_timer == NO_TIMER
+                        && ctx.effects.len() == effects
+                        && ctx.tx.is_none()),
+                "a parked timer's expiry armed, sent or reported something"
+            );
+        }
+        if result.is_ok() {
+            result = f(mac, &mut ctx);
+        }
         let tk = self.mac_timers[station];
         let want = if tk != NO_TIMER && mac.timer_is_silent() {
             NO_TIMER
@@ -1151,8 +1141,14 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
             tk
         };
         self.timer_index.sync_mac(station, want);
-        self.stations[station].mac = Some(mac);
         result.map_err(|violation| SimError::MacInvariant { at: now, violation })
+    }
+
+    /// Fire `station`'s parked timer if its deadline passed before the
+    /// event being dispatched; power-off and crash do this before they
+    /// clear the slot.
+    fn fire_passed_parked(&mut self, station: usize) -> Result<(), SimError> {
+        self.with_mac(station, |_, _| Ok(()))
     }
 
     fn with_transport(
@@ -1381,15 +1377,7 @@ impl<M: Medium, Q: FelChoice> Network<M, Q> {
                 }
             })
             .collect();
-        let mac_stats = self
-            .stations
-            .iter()
-            .map(|s| {
-                s.mac
-                    .as_ref()
-                    .and_then(|m| m.mac_stats().copied())
-            })
-            .collect();
+        let mac_stats = self.macs.iter().map(|m| m.mac_stats().copied()).collect();
         RunReport {
             measured_secs: measured,
             streams,
@@ -1470,7 +1458,7 @@ impl<M: Medium, F: Fel<Event>> MacContext for CoreMacCtx<'_, M, F> {
     // The timer never touches the event queue: re-arming overwrites the
     // station's single slot, and the sort key (drawn from the queue's
     // insertion counter) keeps the fire order identical to a queued event's.
-    // `Network::call_mac` indexes (or parks) the slot once the MAC returns.
+    // `Network::with_mac` indexes (or parks) the slot once the MAC returns.
 
     fn set_timer(&mut self, delay: SimDuration) {
         *self.mac_timer = (self.now + delay, self.queue.alloc_key(PRIO_TIMER));

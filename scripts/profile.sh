@@ -11,6 +11,13 @@
 # time — the view that answers "which subsystem is the run spending its
 # wall clock under?". The raw experiment directory is left in
 # target/profile/ for deeper digging (gprofng display text / perf report).
+#
+# Under gprofng the script first prints the CPU seconds the collector
+# recorded next to the experiment's duration. Where the collector's clock
+# sampling does not work (gprofng warns "Collection interval timer period
+# was changed (10007 -> 0)" and records a small fraction of the run), a
+# top-N list would rank noise, so the script exits with status 1 instead
+# when the recorded CPU time covers under half the run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,6 +44,21 @@ if command -v gprofng >/dev/null 2>&1; then
   expdir="target/profile/$sub-$stamp.er"
   echo "== gprofng collect: $exe $sub $* =="
   gprofng collect app -o "$expdir" "$exe" "$sub" "$@"
+  overview="$(gprofng display text -overview "$expdir")"
+  dur="$(sed -n 's/.*Experiment Duration (Seconds): \[\([0-9.]*\)\].*/\1/p' <<<"$overview" | head -n 1)"
+  cpu="$(sed -n 's/.*totalcpu (Seconds): \[\*\{0,1\}\([0-9.]*\)\].*/\1/p' <<<"$overview" | head -n 1)"
+  echo
+  echo "== recorded ${cpu:-?} CPU-s in a ${dur:-?} s experiment =="
+  if [ -z "$cpu" ] || [ -z "$dur" ]; then
+    echo "profile.sh: no CPU time or duration in gprofng's overview of $expdir" >&2
+    exit 1
+  fi
+  if awk -v c="$cpu" -v d="$dur" 'BEGIN { exit !(c < d / 2) }'; then
+    echo "profile.sh: the recorded CPU time covers under half the run;" \
+      "gprofng's clock sampling is not working here, so no function list" \
+      "is printed (experiment left in $expdir)" >&2
+    exit 1
+  fi
   echo
   echo "== top $top functions by inclusive CPU time ($expdir) =="
   gprofng display text -metrics i.totalcpu:e.totalcpu \

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification: offline release build, lint wall, rustfmt on the
-# model checker and the event engine, full test suite, perfbench's own tests,
-# the `macaw-bench tables --quick` golden diff, and smoke runs of the
-# `macaw-bench` subcommands. Exits non-zero if anything fails to build,
-# clippy reports any warning, any test fails, the tables drift by a byte
-# from crates/bench/tests/golden/tables_quick.txt, or any harness panics /
-# produces non-finite throughput / loses the corruption-ablation claim
-# (MACAW ahead of MACA on a corrupting channel).
+# model checker, the event engine and the MAC layer, full test suite,
+# perfbench's own tests, the `macaw-bench tables --quick` golden diff, and
+# smoke runs of the `macaw-bench` subcommands. Exits non-zero if anything
+# fails to build, clippy reports any warning, any test fails, the tables
+# drift by a byte from crates/bench/tests/golden/tables_quick.txt, or any
+# harness panics / produces non-finite throughput / loses the
+# corruption-ablation claim (MACAW ahead of MACA on a corrupting channel).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,9 +16,10 @@ cargo build --release --workspace
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== rustfmt (model checker, event engine) =="
+echo "== rustfmt (model checker, event engine, MAC layer) =="
 cargo fmt --check -p macaw-check
 cargo fmt --check -p macaw-sim
+cargo fmt --check -p macaw-mac
 
 echo "== tests =="
 cargo test -q --workspace
